@@ -16,8 +16,10 @@
 //     on a single-core host the speedup is honestly ~1x);
 //   * shards      — the 10k-backend mega scenario through the sharded
 //     simulator at --shards 1 vs --shards 4 with pinned shard threads
-//     (aggregate req/s; the speedup ratio is suppressed, not faked, on
-//     boxes with fewer than 4 hardware threads);
+//     (aggregate req/s plus the shards=4 run's barrier counters: windows,
+//     spin-acquired and parked waits, total wait time; the speedup ratio
+//     is suppressed, not faked, on boxes with fewer than 4 hardware
+//     threads);
 //   * control_plane — the mega-shaped scrape→TSDB→manage pipeline in
 //     isolation (24 regions × 24-backend splits): columnar scrape series/s
 //     and fused-gather manage backends/s, plus the window-cursor hit rate.
@@ -536,15 +538,18 @@ struct ShardResult {
   double sharded_reqs_per_sec = 0.0;
   double speedup = 0.0;
   int hardware_jobs = 0;
+  l3::sim::BarrierStats barrier;  // summed over shards, fastest shards=4 rep
 };
 
 /// Times the 10k-backend mega scenario (l3/workload/mega.h) at shards=1 vs
 /// shards=4 with shard threads pinned to CPUs. Digest byte-identity across
 /// shard counts is covered by workload_mega_test; here we record aggregate
-/// request throughput. Wall time is the engine run only (setup excluded),
-/// best of 3 reps per shard count — the same methodology as the README
-/// table, and necessary here because the first pinned run on a shared box
-/// pays one-off affinity/page-fault costs the later reps don't.
+/// request throughput. Wall time is MegaResult::wall_seconds — the engine
+/// run including each shard's state build and teardown, but not the
+/// topology set-up before it — best of 3 reps per shard count, the same
+/// methodology as the README table, and necessary here because the first
+/// pinned run on a shared box pays one-off affinity/page-fault costs the
+/// later reps don't.
 ShardResult bench_shards(double duration) {
   l3::workload::MegaConfig config;
   config.duration = duration;
@@ -568,9 +573,10 @@ ShardResult bench_shards(double duration) {
     if (sharded.total_requests != result.requests) {
       std::cerr << "shards: request counts diverged\n";
     }
-    result.sharded_wall =
-        rep == 0 ? sharded.wall_seconds
-                 : std::min(result.sharded_wall, sharded.wall_seconds);
+    if (rep == 0 || sharded.wall_seconds < result.sharded_wall) {
+      result.sharded_wall = sharded.wall_seconds;
+      result.barrier = sharded.barrier;
+    }
   }
   result.serial_reqs_per_sec =
       static_cast<double>(result.requests) / result.serial_wall;
@@ -923,6 +929,11 @@ int main(int argc, char** argv) {
     std::cout << " (speedup n/a: only " << shard.hardware_jobs
               << " hardware thread(s), 4 shards cannot scale)\n";
   }
+  std::cout << "mega barrier : " << shard.barrier.windows << " windows, "
+            << shard.barrier.spin_acquires << " spin-acquired, "
+            << shard.barrier.parks << " parked, "
+            << static_cast<double>(shard.barrier.wait_ns) / 1e6
+            << " ms waited (sum over shards)\n";
 
   const int control_rounds = fast ? 160 : 640;
   const ControlPlaneResult cp = bench_control_plane(control_rounds);
@@ -1023,7 +1034,13 @@ int main(int argc, char** argv) {
        << "    \"shards1_reqs_per_sec\": " << shard.serial_reqs_per_sec
        << ",\n"
        << "    \"shards4_reqs_per_sec\": " << shard.sharded_reqs_per_sec
-       << ",\n";
+       << ",\n"
+       << "    \"barrier_windows\": " << shard.barrier.windows << ",\n"
+       << "    \"barrier_spin_acquires\": " << shard.barrier.spin_acquires
+       << ",\n"
+       << "    \"barrier_parks\": " << shard.barrier.parks << ",\n"
+       << "    \"barrier_wait_seconds\": "
+       << static_cast<double>(shard.barrier.wait_ns) / 1e9 << ",\n";
   if (shard.hardware_jobs >= 4) {
     json << "    \"shards_speedup\": " << shard.speedup << "\n";
   } else {

@@ -47,9 +47,10 @@ struct MailboxStats {
 
 /// Receiving side: one inbox per shard, shared by all senders. deliver()
 /// and drain() are the only cross-thread touch points in the engine's data
-/// path; the mutex hand-off is what gives the barrier protocol its
-/// happens-before edge (flush-before-publish on the sender, acquire-then-
-/// drain on the receiver).
+/// path, and the mutex is the data's happens-before edge: the barrier's
+/// release/acquire horizon exchange (flush-before-publish on the sender,
+/// acquire-then-drain on the receiver) orders a flush's critical section
+/// before the drain that must see it.
 class MailboxInbox {
  public:
   /// Moves a whole staged batch in (sender side). `batch` is left empty

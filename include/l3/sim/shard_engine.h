@@ -16,13 +16,18 @@
 //
 // Protocol invariants (the determinism/safety argument, also DESIGN.md §14):
 //   * flush-before-publish: a shard delivers all staged messages to target
-//     inboxes before publishing a new horizon;
+//     inboxes before publishing a new horizon (a release store);
 //   * acquire-then-drain: a shard drains its inbox only after acquire()
-//     returns, whose mutex hand-off makes all those flushes visible;
+//     returns, whose acquire loads of the peers' horizons make all those
+//     flushes visible;
 //   * a shard that acquires safe > end owes nothing more to anyone: every
 //     message still in flight toward it arrives strictly after `end`.
-// Shards with no coupled peers see safe = +inf and run the whole horizon in
-// one window — the --shards=1 path executes exactly the legacy loop.
+// Horizons are lock-free per-shard atomics. A waiting acquirer spins
+// briefly, then parks on its own condition variable; publishers wake only
+// parked shards they are coupled to (a Dekker handshake on the parked flag,
+// see acquire()/publish()). Shards with no coupled peers see safe = +inf and
+// run the whole horizon in one window — the --shards=1 path executes
+// exactly the legacy loop.
 #pragma once
 
 #include "l3/common/assert.h"
@@ -30,6 +35,7 @@
 #include "l3/sim/mailbox.h"
 #include "l3/sim/simulator.h"
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
@@ -41,6 +47,23 @@
 namespace l3::sim {
 
 class ShardEngine;
+
+/// Per-shard conservative-barrier counters (one shard, or a sum over
+/// several). Scheduling-dependent, so never part of a result digest.
+struct BarrierStats {
+  std::uint64_t windows = 0;        ///< acquire() calls (one per window)
+  std::uint64_t spin_acquires = 0;  ///< acquires satisfied while spinning
+  std::uint64_t parks = 0;          ///< acquires that parked on the wake cv
+  std::uint64_t wait_ns = 0;        ///< wall time in acquires that waited
+
+  BarrierStats& operator+=(const BarrierStats& o) {
+    windows += o.windows;
+    spin_acquires += o.spin_acquires;
+    parks += o.parks;
+    wait_ns += o.wait_ns;
+    return *this;
+  }
+};
 
 /// Per-shard façade over the engine: posting keyed cross-cluster events and
 /// driving the conservative window loop. All methods are called exclusively
@@ -161,14 +184,24 @@ class ShardEngine {
 
   /// Summed mailbox counters across all routers (call after run()).
   MailboxStats mailbox_stats() const;
+  /// One shard's barrier counters, or their sum (call after run()).
+  BarrierStats barrier_stats(std::size_t shard) const {
+    L3_EXPECTS(shard < shard_count_);
+    return slots_[shard].stats;
+  }
+  BarrierStats barrier_stats() const;
 
   // --- barrier internals, called by ShardRouter on shard threads ---
 
   /// Blocks until min over coupled peers of (horizon + lookahead) exceeds
-  /// `committed`; returns that bound (+inf when uncoupled).
+  /// `committed`; returns that bound (+inf when uncoupled), capped at
+  /// `committed` + the smallest incoming lookahead while it is finite.
+  /// Spins for a bounded budget (unless shards outnumber hardware threads),
+  /// then parks.
   SimTime acquire(std::size_t shard, SimTime committed);
   /// Publishes `horizon` for `shard`: every event this shard will still
-  /// execute is at or after it. Monotonic.
+  /// execute is at or after it. Monotonic. Wakes the parked shards that
+  /// consume this horizon.
   void publish(std::size_t shard, SimTime horizon);
 
   MailboxInbox& inbox(std::size_t shard) {
@@ -183,18 +216,40 @@ class ShardEngine {
   /// coupled distinct shards have strictly positive lookahead (zero would
   /// deadlock the barrier).
   void prepare();
+  /// min over coupled peers j of (horizon_j + lookahead(j -> shard)).
+  SimTime safe_bound(std::size_t shard, std::memory_order order) const;
+  /// Parks `shard` until its safe bound exceeds `committed`.
+  SimTime park(std::size_t shard, SimTime committed);
+
+  /// One shard's barrier state. Each field sits on its own cache line: the
+  /// horizon is written by its owner every window and read by consumers,
+  /// the parked flag is read by every publisher, and the stats are touched
+  /// by the owner only.
+  struct Slot {
+    alignas(64) std::atomic<SimTime> horizon{0.0};
+    alignas(64) std::atomic<bool> parked{false};
+    std::condition_variable wake;  // waited on under mu_
+    alignas(64) BarrierStats stats;
+  };
 
   Config config_;
   std::size_t shard_count_;
+  bool spin_;  // false when shards outnumber hardware threads
   std::vector<std::size_t> owners_;            // cluster -> shard
   std::vector<SimDuration> cluster_la_;        // row-major clusters x clusters
   std::vector<SimDuration> shard_la_;          // row-major shards x shards
+  /// Per shard: the coupled peers it reads (producers) and the coupled
+  /// peers that read it (consumers), from shard_la_.
+  std::vector<std::vector<std::size_t>> producers_;
+  std::vector<std::vector<std::size_t>> consumers_;
+  /// Per shard: the smallest incoming lookahead, which caps a window.
+  std::vector<SimDuration> max_window_;
   std::vector<std::unique_ptr<MailboxInbox>> inboxes_;
   std::vector<std::unique_ptr<ShardRouter>> routers_;
+  std::unique_ptr<Slot[]> slots_;
 
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::vector<SimTime> horizons_;
+  mutable std::mutex mu_;  // parking, sync() and the error latch
+  std::condition_variable cv_;  // sync() only
   std::size_t sync_waiting_ = 0;
   std::uint64_t sync_generation_ = 0;
   bool aborted_ = false;

@@ -16,13 +16,14 @@
 //
 // Determinism: MegaResult::digest() is byte-identical for every shard
 // count (pinned by the workload_mega tests and check.sh). The digest
-// excludes the mailbox counters and wall-clock throughput, which are
-// shard-count-dependent by construction.
+// excludes the mailbox and barrier counters and wall-clock throughput,
+// which are shard-count-dependent by construction.
 #pragma once
 
 #include "l3/common/time.h"
 #include "l3/mesh/proxy_cost.h"
 #include "l3/sim/mailbox.h"
+#include "l3/sim/shard_engine.h"
 
 #include <cstdint>
 #include <string>
@@ -109,8 +110,12 @@ struct MegaResult {
   /// Cross-shard mailbox traffic (shard-count-DEPENDENT; excluded from
   /// the digest).
   sim::MailboxStats mailbox;
-  /// Wall-clock seconds spent inside the engine run (not deterministic;
-  /// excluded from the digest).
+  /// Conservative-barrier counters summed over shards (scheduling-
+  /// dependent; excluded from the digest).
+  sim::BarrierStats barrier;
+  /// Wall-clock seconds from entering the engine run to its return: each
+  /// shard body's state build and wiring, the simulation, and the state
+  /// teardown (not deterministic; excluded from the digest).
   double wall_seconds = 0.0;
 
   /// Deterministic run fingerprint: per-region counts and latency

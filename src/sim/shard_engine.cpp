@@ -1,6 +1,7 @@
 #include "l3/sim/shard_engine.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <thread>
@@ -15,6 +16,20 @@ namespace l3::sim {
 
 namespace {
 constexpr SimTime kInf = std::numeric_limits<SimTime>::infinity();
+
+// Re-checks of the peers' horizons before an acquirer parks. A window's
+// compute is a few microseconds at mega scale, so most waits end inside
+// this budget; a peer that is descheduled or far behind is waited out
+// parked instead of burning a core.
+constexpr int kSpinChecks = 1024;
+
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield" ::: "memory");
+#endif
+}
 
 void pin_to_cpu(std::thread& t, std::size_t cpu) {
 #if defined(__linux__)
@@ -113,7 +128,12 @@ MailboxStats ShardRouter::mailbox_stats() const {
 // ShardEngine
 
 ShardEngine::ShardEngine(Config config)
-    : config_(config), shard_count_(config.shards) {
+    : config_(config),
+      shard_count_(config.shards),
+      // Spinning only pays when every shard can hold a core; oversubscribed,
+      // a spinner steals the very core the peer it waits on needs.
+      spin_(shard_count_ <= std::max(1u, std::thread::hardware_concurrency())),
+      slots_(std::make_unique<Slot[]>(shard_count_)) {
   L3_EXPECTS(shard_count_ >= 1);
   L3_EXPECTS(config_.mailbox_capacity >= 1);
   inboxes_.reserve(shard_count_);
@@ -132,7 +152,6 @@ ShardEngine::ShardEngine(Config config)
     }
     routers_.push_back(std::move(router));
   }
-  horizons_.assign(shard_count_, 0.0);
 }
 
 void ShardEngine::set_cluster_owners(std::vector<std::size_t> owners) {
@@ -174,6 +193,9 @@ SimDuration ShardEngine::shard_lookahead(std::size_t from,
 
 void ShardEngine::prepare() {
   shard_la_.assign(shard_count_ * shard_count_, kInf);
+  producers_.assign(shard_count_, {});
+  consumers_.assign(shard_count_, {});
+  max_window_.assign(shard_count_, kInf);
   for (std::size_t i = 0; i < shard_count_; ++i) {
     for (std::size_t j = 0; j < shard_count_; ++j) {
       if (i == j) continue;
@@ -182,9 +204,17 @@ void ShardEngine::prepare() {
       // could ever advance past the other's horizon.
       L3_EXPECTS(!(std::isfinite(la) && la <= 0.0));
       shard_la_[i * shard_count_ + j] = la;
+      if (std::isfinite(la)) {
+        consumers_[i].push_back(j);
+        producers_[j].push_back(i);
+        max_window_[j] = std::min(max_window_[j], la);
+      }
     }
   }
-  horizons_.assign(shard_count_, 0.0);
+  for (std::size_t s = 0; s < shard_count_; ++s) {
+    slots_[s].horizon.store(0.0, std::memory_order_relaxed);
+    slots_[s].parked.store(false, std::memory_order_relaxed);
+  }
   aborted_ = false;
   first_error_ = nullptr;
 }
@@ -238,35 +268,95 @@ void ShardEngine::sync() {
   }
 }
 
+SimTime ShardEngine::safe_bound(std::size_t shard,
+                                std::memory_order order) const {
+  SimTime safe = kInf;
+  for (const std::size_t j : producers_[shard]) {
+    safe = std::min(safe, slots_[j].horizon.load(order) +
+                              shard_la_[j * shard_count_ + shard]);
+  }
+  return safe;
+}
+
 SimTime ShardEngine::acquire(std::size_t shard, SimTime committed) {
   L3_EXPECTS(shard < shard_count_);
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    SimTime safe = kInf;
-    for (std::size_t j = 0; j < shard_count_; ++j) {
-      if (j == shard) continue;
-      const SimDuration la = shard_la_[j * shard_count_ + shard];
-      if (!std::isfinite(la)) continue;
-      safe = std::min(safe, horizons_[j] + la);
+  BarrierStats& stats = slots_[shard].stats;
+  ++stats.windows;
+  // Acquire loads pair with publish()'s release stores: a horizon seen here
+  // makes the publisher's pre-publish flushes visible to drain_commit().
+  SimTime safe = safe_bound(shard, std::memory_order_acquire);
+  if (safe <= committed) {
+    const auto start = std::chrono::steady_clock::now();
+    for (int i = 0; spin_ && i < kSpinChecks && safe <= committed; ++i) {
+      cpu_relax();
+      safe = safe_bound(shard, std::memory_order_acquire);
     }
-    if (safe > committed) return safe;
-    cv_.wait(lock);
+    if (safe > committed) {
+      ++stats.spin_acquires;
+    } else {
+      ++stats.parks;
+      safe = park(shard, committed);
+    }
+    stats.wait_ns += static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count());
   }
+  // A shard one lookahead behind its peer sees a bound two lookaheads out.
+  // Running all of it before publishing idles the waiting peer for the whole
+  // window, and two shards then alternate instead of overlapping; capping
+  // the window at one lookahead releases the peer halfway and puts both back
+  // in phase. Once every producer is done (+inf) the final window is
+  // uncapped.
+  if (std::isfinite(safe)) {
+    safe = std::min(safe, committed + max_window_[shard]);
+  }
+  return safe;
+}
+
+SimTime ShardEngine::park(std::size_t shard, SimTime committed) {
+  Slot& slot = slots_[shard];
+  std::unique_lock<std::mutex> lock(mu_);
+  // Dekker handshake with publish(): raise the flag, then re-read the
+  // horizons; the publisher stores its horizon, then reads the flag. With
+  // all four accesses seq_cst at least one side sees the other, so either
+  // this check sees the new horizon or the publisher sees the flag, takes
+  // mu_ and notifies — which cannot slip between the check below and the
+  // wait, since both happen with mu_ held.
+  slot.parked.store(true, std::memory_order_seq_cst);
+  SimTime safe = kInf;
+  slot.wake.wait(lock, [&] {
+    safe = safe_bound(shard, std::memory_order_seq_cst);
+    return safe > committed;
+  });
+  slot.parked.store(false, std::memory_order_relaxed);
+  return safe;
 }
 
 void ShardEngine::publish(std::size_t shard, SimTime horizon) {
   L3_EXPECTS(shard < shard_count_);
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    L3_EXPECTS(horizon >= horizons_[shard]);
-    horizons_[shard] = horizon;
+  std::atomic<SimTime>& h = slots_[shard].horizon;
+  L3_EXPECTS(horizon >= h.load(std::memory_order_relaxed));
+  // seq_cst is a release store (flush-before-publish) that also takes part
+  // in park()'s handshake.
+  h.store(horizon, std::memory_order_seq_cst);
+  for (const std::size_t c : consumers_[shard]) {
+    if (!slots_[c].parked.load(std::memory_order_seq_cst)) continue;
+    // Taking mu_ orders this wake after the parker's check-then-wait.
+    { const std::lock_guard<std::mutex> lock(mu_); }
+    slots_[c].wake.notify_one();
   }
-  cv_.notify_all();
 }
 
 MailboxStats ShardEngine::mailbox_stats() const {
   MailboxStats total;
   for (const auto& r : routers_) total += r->mailbox_stats();
+  return total;
+}
+
+BarrierStats ShardEngine::barrier_stats() const {
+  BarrierStats total;
+  for (std::size_t s = 0; s < shard_count_; ++s) total += slots_[s].stats;
   return total;
 }
 

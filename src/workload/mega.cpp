@@ -274,6 +274,7 @@ MegaResult run_mega(const MegaConfig& config) {
   }
   for (const std::uint64_t e : shard_events) result.total_events += e;
   result.mailbox = engine.mailbox_stats();
+  result.barrier = engine.barrier_stats();
   result.wall_seconds = wall.count();
   return result;
 }

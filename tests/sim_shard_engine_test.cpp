@@ -1,7 +1,8 @@
 // Tests for the conservative-lookahead shard engine: ownership + lookahead
 // tables, barrier progress, deterministic cross-shard ping-pong, the
-// lookahead-violation contract, abort propagation through sync(), and the
-// zero-lookahead deadlock guard.
+// lookahead-violation contract, abort propagation through sync() and
+// through acquirers parked in the barrier, the zero-lookahead deadlock
+// guard, barrier accounting, and an oversubscribed ring stress run.
 #include "l3/sim/shard_engine.h"
 
 #include "l3/common/assert.h"
@@ -9,10 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -112,7 +116,8 @@ struct PingState {
   std::vector<std::pair<SimTime, std::uint64_t>> received;
 };
 
-std::vector<PingState> run_pingpong(std::size_t shards) {
+std::vector<PingState> run_pingpong(std::size_t shards,
+                                    BarrierStats* barrier = nullptr) {
   ShardEngine engine(shards);
   std::vector<std::size_t> owners = {0, shards > 1 ? 1ul : 0ul};
   engine.set_cluster_owners(owners);
@@ -151,6 +156,7 @@ std::vector<PingState> run_pingpong(std::size_t shards) {
     }
     router.run_until(1.0);
   });
+  if (barrier != nullptr) *barrier = engine.barrier_stats();
   return states;
 }
 
@@ -161,6 +167,165 @@ TEST(ShardEngine, PingPongMatchesSingleShardRun) {
   const auto sharded = run_pingpong(2);
   EXPECT_EQ(sharded[0].received, oracle[0].received);
   EXPECT_EQ(sharded[1].received, oracle[1].received);
+}
+
+TEST(ShardEngine, BarrierStatsCountWindowsAndParks) {
+  // Uncoupled single shard: one window at +inf, nothing to wait for.
+  ShardEngine solo(1);
+  solo.set_cluster_owners({0});
+  solo.run([&](std::size_t shard) {
+    Simulator sim;
+    ShardRouter& router = solo.router(shard);
+    router.attach(sim);
+    sim.schedule_at(0.5, [] {});
+    router.run_until(1.0);
+  });
+  const BarrierStats alone = solo.barrier_stats(0);
+  EXPECT_EQ(alone.windows, 1u);
+  EXPECT_EQ(alone.spin_acquires, 0u);
+  EXPECT_EQ(alone.parks, 0u);
+  EXPECT_EQ(alone.wait_ns, 0u);
+
+  // Coupled ping-pong: 1.0 s at a 10 ms lookahead takes many windows, and
+  // a window waits only if it spun or parked.
+  BarrierStats coupled;
+  run_pingpong(2, &coupled);
+  EXPECT_GT(coupled.windows, 2u * 50u);
+  EXPECT_LE(coupled.spin_acquires + coupled.parks, coupled.windows);
+}
+
+TEST(ShardEngine, WindowIsCappedAtOneLookaheadUntilPeersFinish) {
+  ShardEngine engine(2);
+  engine.set_cluster_owners({0, 1});
+  engine.set_cluster_lookahead(0, 1, 0.010);
+  engine.set_cluster_lookahead(1, 0, 0.010);
+  std::atomic<bool> published{false};
+  std::atomic<bool> acquired{false};
+  SimTime capped = 0.0;
+  SimTime after_peer_done = 0.0;
+  engine.run([&](std::size_t shard) {
+    if (shard == 1) {
+      // One lookahead ahead of shard 0: its raw bound is 0 + 2 lookaheads.
+      engine.publish(1, 0.010);
+      published = true;
+      while (!acquired.load()) std::this_thread::yield();
+      return;  // publishes +inf
+    }
+    while (!published.load()) std::this_thread::yield();
+    capped = engine.acquire(0, 0.0);
+    acquired = true;
+    // Past shard 1's current reach, so this waits for its +inf.
+    after_peer_done = engine.acquire(0, 0.020);
+  });
+  EXPECT_EQ(capped, 0.010);
+  EXPECT_FALSE(std::isfinite(after_peer_done));
+}
+
+TEST(ShardEngine, BodyExceptionWakesPeersParkedInAcquire) {
+  // Three mutually coupled shards. Shard 0 never publishes a horizon, so
+  // after one window its peers block in acquire(); once they have had ample
+  // time to park, shard 0 throws. Its +inf publish must wake them, and
+  // run() must rethrow instead of hanging.
+  ShardEngine engine(3);
+  engine.set_cluster_owners({0, 1, 2});
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    for (std::uint32_t j = 0; j < 3; ++j) {
+      if (i != j) engine.set_cluster_lookahead(i, j, 0.010);
+    }
+  }
+  std::atomic<int> peers_in_first_window{0};
+  EXPECT_THROW(engine.run([&](std::size_t shard) {
+                 if (shard == 0) {
+                   while (peers_in_first_window.load() < 2) {
+                     std::this_thread::yield();
+                   }
+                   std::this_thread::sleep_for(std::chrono::milliseconds(100));
+                   throw std::runtime_error("boom");
+                 }
+                 Simulator sim;
+                 ShardRouter& router = engine.router(shard);
+                 router.attach(sim);
+                 sim.schedule_at(0.005, [&] { ++peers_in_first_window; });
+                 router.run_until(1.0);
+                 EXPECT_EQ(sim.now(), 1.0);
+               }),
+               std::runtime_error);
+  EXPECT_GE(engine.barrier_stats(1).parks, 1u);
+  EXPECT_GE(engine.barrier_stats(2).parks, 1u);
+}
+
+// A token ring over one cluster per shard, every pair coupled with its own
+// lookahead, so each shard's safe bound depends on all of its peers. One
+// token starts per cluster; each hops to the next cluster or, on every
+// third token value, skips one ahead, which creates same-time arrivals from
+// different origins.
+std::vector<PingState> run_ring(std::size_t clusters, std::size_t shards,
+                                BarrierStats* barrier) {
+  ShardEngine engine(shards);
+  std::vector<std::size_t> owners(clusters);
+  for (std::size_t c = 0; c < clusters; ++c) owners[c] = c * shards / clusters;
+  engine.set_cluster_owners(owners);
+  const auto la = [](std::uint32_t from, std::uint32_t to) {
+    return 0.004 + 0.001 * ((from + to) % 3);
+  };
+  for (std::uint32_t i = 0; i < clusters; ++i) {
+    for (std::uint32_t j = 0; j < clusters; ++j) {
+      if (i != j) engine.set_cluster_lookahead(i, j, la(i, j));
+    }
+  }
+  std::vector<PingState> states(clusters);
+  struct Hop {
+    ShardEngine* eng;
+    std::vector<PingState>* states;
+    std::uint32_t cluster;
+    std::uint64_t token;
+    void operator()() const {
+      ShardRouter& rt = eng->router_for_cluster(cluster);
+      const SimTime now = rt.sim().now();
+      (*states)[cluster].received.emplace_back(now, token);
+      if (now > 0.4) return;
+      const auto n = static_cast<std::uint32_t>(states->size());
+      const bool skip = token % 3 == 0;
+      const std::uint32_t next = (cluster + (skip ? 2 : 1)) % n;
+      const SimTime extra = skip ? 0.0 : 0.001 * static_cast<double>(token % 4);
+      rt.post(cluster, next, now + 0.006 + extra,
+              Hop{eng, states, next, token * 7 % 1009 + 1});
+    }
+  };
+  engine.run([&](std::size_t shard) {
+    Simulator sim;
+    ShardRouter& router = engine.router(shard);
+    router.attach(sim);
+    for (std::uint32_t c = 0; c < clusters; ++c) {
+      if (owners[c] == shard) {
+        sim.schedule_at(0.0, Hop{&engine, &states, c, c + 1u});
+      }
+    }
+    router.run_until(0.5);
+  });
+  if (barrier != nullptr) *barrier = engine.barrier_stats();
+  return states;
+}
+
+TEST(ShardEngine, OversubscribedRingMatchesSingleShardRun) {
+  // More shards than hardware threads turns spinning off, so every wait
+  // goes through the park/wake handshake; a lost wakeup hangs the run and a
+  // protocol slip changes the receive logs.
+  const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
+  const std::size_t shards = 2 * hw + 1;
+  const auto oracle = run_ring(shards, 1, nullptr);
+  for (const PingState& s : oracle) EXPECT_GT(s.received.size(), 10u);
+  for (int rep = 0; rep < 50; ++rep) {
+    BarrierStats barrier;
+    const auto sharded = run_ring(shards, shards, &barrier);
+    ASSERT_EQ(sharded.size(), oracle.size());
+    for (std::size_t c = 0; c < oracle.size(); ++c) {
+      ASSERT_EQ(sharded[c].received, oracle[c].received)
+          << "cluster " << c << ", rep " << rep;
+    }
+    EXPECT_EQ(barrier.spin_acquires, 0u);
+    EXPECT_GE(barrier.windows, shards);
+  }
 }
 
 }  // namespace
