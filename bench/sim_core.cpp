@@ -1,15 +1,12 @@
 // Hot-path benchmark for the event core and the TSDB, tracking the perf
 // trajectory of the allocation-free rewrite from this PR onward.
 //
-// Three microbenches plus one end-to-end run:
+// Microbenches plus end-to-end runs:
 //   * event core  — a schedule-heavy request-hop workload (every simulated
-//     request crosses the queue 5+ times) on the real Simulator vs an
-//     in-binary replica of the legacy core (std::function events in a
-//     std::priority_queue) — the ratio is the headline events/sec speedup;
+//     request crosses the queue 5+ times) on the real Simulator;
 //   * periodic    — schedule_every churn (scrape/control-tick shape);
 //   * tsdb        — scrape-shaped appends + controller-shaped window
-//     queries through interned SeriesIds vs a replica of the legacy
-//     string-keyed map-of-deques store with linear window scans;
+//     queries through interned SeriesIds;
 //   * scenario    — wall-clock of a full run_scenario() (scenario 1, L3);
 //   * sweep       — a fig10-shaped experiment grid through the parallel
 //     harness at --jobs 1 vs --jobs 4 (cells/sec and the parallel speedup;
@@ -52,14 +49,9 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
-#include <deque>
 #include <fstream>
-#include <functional>
 #include <iostream>
-#include <map>
 #include <memory>
-#include <optional>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -71,62 +63,12 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-// ---------------------------------------------------------------------------
-// Replica of the pre-refactor event core (std::function + priority_queue
-// with the const_cast move-out pop), kept verbatim so the speedup is
-// measured against the real thing rather than guessed.
-class LegacySimulator {
- public:
-  using EventFn = std::function<void()>;
-
-  l3::SimTime now() const { return now_; }
-
-  void schedule_at(l3::SimTime t, EventFn fn) {
-    queue_.push(Event{t, next_seq_++, std::move(fn)});
-  }
-  void schedule_after(l3::SimDuration delay, EventFn fn) {
-    schedule_at(now_ + delay, std::move(fn));
-  }
-
-  std::size_t run_until(l3::SimTime end) {
-    std::size_t processed = 0;
-    while (!queue_.empty()) {
-      const Event& top = queue_.top();
-      if (top.time > end) break;
-      Event ev{top.time, top.seq, std::move(const_cast<Event&>(top).fn)};
-      queue_.pop();
-      now_ = ev.time;
-      ev.fn();
-      ++processed;
-    }
-    if (now_ < end) now_ = end;
-    return processed;
-  }
-
- private:
-  struct Event {
-    l3::SimTime time;
-    std::uint64_t seq;
-    EventFn fn;
-  };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  l3::SimTime now_ = 0.0;
-  std::uint64_t next_seq_ = 0;
-};
-
 // The request-hop workload: `chains` requests, each crossing the queue
 // `hops` times with a capture shape matching the proxy/WAN/client lambdas
-// (a couple of pointers plus a small state struct — beyond std::function's
-// 16-byte inline buffer, within EventFn's 48).
-template <typename Sim>
+// (a couple of pointers plus a small state struct, within EventFn's 48-byte
+// inline budget).
 struct Hop {
-  Sim* sim;
+  l3::sim::Simulator* sim;
   std::uint64_t* fired;
   std::uint64_t id;
   std::int32_t remaining;
@@ -142,48 +84,26 @@ struct Hop {
   }
 };
 
-template <typename Sim>
-std::uint64_t run_hop_workload(Sim& sim, int chains, int hops) {
+std::uint64_t run_hop_workload(l3::sim::Simulator& sim, int chains, int hops) {
   std::uint64_t fired = 0;
   for (int c = 0; c < chains; ++c) {
-    const Hop<Sim> hop{&sim, &fired, static_cast<std::uint64_t>(c), hops,
-                       0.0};
+    const Hop hop{&sim, &fired, static_cast<std::uint64_t>(c), hops, 0.0};
     sim.schedule_after(1e-9 * static_cast<double>(c), hop);
   }
   sim.run_until(1e9);
   return fired;
 }
 
-struct EventCoreResult {
-  double new_events_per_sec = 0.0;
-  double legacy_events_per_sec = 0.0;
-  double speedup = 0.0;
-};
-
-EventCoreResult bench_event_core(int chains, int hops, int reps) {
-  EventCoreResult result;
-  double best_new = 0.0;
-  double best_legacy = 0.0;
+/// Best-of-reps events/s of the request-hop workload.
+double bench_event_core(int chains, int hops, int reps) {
+  double best = 0.0;
   for (int r = 0; r < reps; ++r) {
-    {
-      l3::sim::Simulator sim;
-      const auto start = Clock::now();
-      const std::uint64_t fired = run_hop_workload(sim, chains, hops);
-      const double rate = static_cast<double>(fired) / seconds_since(start);
-      if (rate > best_new) best_new = rate;
-    }
-    {
-      LegacySimulator sim;
-      const auto start = Clock::now();
-      const std::uint64_t fired = run_hop_workload(sim, chains, hops);
-      const double rate = static_cast<double>(fired) / seconds_since(start);
-      if (rate > best_legacy) best_legacy = rate;
-    }
+    l3::sim::Simulator sim;
+    const auto start = Clock::now();
+    const std::uint64_t fired = run_hop_workload(sim, chains, hops);
+    best = std::max(best, static_cast<double>(fired) / seconds_since(start));
   }
-  result.new_events_per_sec = best_new;
-  result.legacy_events_per_sec = best_legacy;
-  result.speedup = best_new / best_legacy;
-  return result;
+  return best;
 }
 
 double bench_periodic(int tasks, double sim_seconds) {
@@ -200,55 +120,6 @@ double bench_periodic(int tasks, double sim_seconds) {
   return static_cast<double>(fired) / seconds_since(start);
 }
 
-// ---------------------------------------------------------------------------
-// Replica of the pre-refactor TSDB storage/query shape: string-keyed
-// std::map of deques with linear window scans.
-class LegacyTsdb {
- public:
-  void append(const std::string& key, l3::SimTime t, double v) {
-    auto& series = scalars_[key];
-    series.push_back({t, v});
-    while (!series.empty() && series.front().t < t - retention_) {
-      series.pop_front();
-    }
-  }
-
-  std::optional<double> rate(const std::string& key, l3::SimDuration window,
-                             l3::SimTime now) const {
-    const auto it = scalars_.find(key);
-    if (it == scalars_.end()) return std::nullopt;
-    const auto& s = it->second;
-    const l3::SimTime start = now - window;
-    std::size_t first = s.size();
-    for (std::size_t i = 0; i < s.size(); ++i) {
-      if (s[i].t >= start && s[i].t <= now) {
-        first = i;
-        break;
-      }
-    }
-    if (first == s.size()) return std::nullopt;
-    std::size_t last = first;
-    for (std::size_t i = s.size(); i-- > first;) {
-      if (s[i].t <= now) {
-        last = i;
-        break;
-      }
-    }
-    if (last - first + 1 < 2) return std::nullopt;
-    const double elapsed = s[last].t - s[first].t;
-    if (elapsed <= 0.0) return std::nullopt;
-    return (s[last].v - s[first].v) / elapsed;
-  }
-
- private:
-  struct Sample {
-    l3::SimTime t;
-    double v;
-  };
-  std::map<std::string, std::deque<Sample>> scalars_;
-  l3::SimDuration retention_ = 120.0;
-};
-
 std::vector<std::string> make_series_names(int n) {
   std::vector<std::string> names;
   names.reserve(static_cast<std::size_t>(n));
@@ -259,66 +130,35 @@ std::vector<std::string> make_series_names(int n) {
   return names;
 }
 
-struct TsdbResult {
-  double new_ops_per_sec = 0.0;
-  double legacy_ops_per_sec = 0.0;
-  double speedup = 0.0;
-};
-
 /// Scrape-shaped workload: `series` counters appended every 5 s of sim
 /// time, `queries_per_append` controller reads of a 10 s window per cycle.
-TsdbResult bench_tsdb(int series, int cycles, int queries_per_append) {
+/// Returns appends + queries per second.
+double bench_tsdb(int series, int cycles, int queries_per_append) {
   const auto names = make_series_names(series);
-  TsdbResult result;
   std::uint64_t ops = 0;
   double sink = 0.0;
-
-  {
-    l3::metrics::TimeSeriesDb db;
-    std::vector<l3::metrics::SeriesId> ids;
-    ids.reserve(names.size());
-    for (const auto& name : names) ids.push_back(db.series(name));
-    const auto start = Clock::now();
-    ops = 0;
-    for (int c = 0; c < cycles; ++c) {
-      const double now = 5.0 * static_cast<double>(c);
-      for (std::size_t s = 0; s < ids.size(); ++s) {
-        db.append(ids[s], now, static_cast<double>(c * 100 + s));
+  l3::metrics::TimeSeriesDb db;
+  std::vector<l3::metrics::SeriesId> ids;
+  ids.reserve(names.size());
+  for (const auto& name : names) ids.push_back(db.series(name));
+  const auto start = Clock::now();
+  for (int c = 0; c < cycles; ++c) {
+    const double now = 5.0 * static_cast<double>(c);
+    for (std::size_t s = 0; s < ids.size(); ++s) {
+      db.append(ids[s], now, static_cast<double>(c * 100 + s));
+      ++ops;
+    }
+    for (int q = 0; q < queries_per_append; ++q) {
+      for (const auto id : ids) {
+        if (const auto r = db.rate(id, 10.0, now)) sink += *r;
         ++ops;
       }
-      for (int q = 0; q < queries_per_append; ++q) {
-        for (const auto id : ids) {
-          if (const auto r = db.rate(id, 10.0, now)) sink += *r;
-          ++ops;
-        }
-      }
-      db.compact(now);
     }
-    result.new_ops_per_sec = static_cast<double>(ops) / seconds_since(start);
+    db.compact(now);
   }
-  {
-    LegacyTsdb db;
-    const auto start = Clock::now();
-    ops = 0;
-    for (int c = 0; c < cycles; ++c) {
-      const double now = 5.0 * static_cast<double>(c);
-      for (std::size_t s = 0; s < names.size(); ++s) {
-        db.append(names[s], now, static_cast<double>(c * 100 + s));
-        ++ops;
-      }
-      for (int q = 0; q < queries_per_append; ++q) {
-        for (const auto& name : names) {
-          if (const auto r = db.rate(name, 10.0, now)) sink += *r;
-          ++ops;
-        }
-      }
-    }
-    result.legacy_ops_per_sec =
-        static_cast<double>(ops) / seconds_since(start);
-  }
+  const double ops_per_sec = static_cast<double>(ops) / seconds_since(start);
   if (sink == 42.0) std::cerr << "";  // keep the reads observable
-  result.speedup = result.new_ops_per_sec / result.legacy_ops_per_sec;
-  return result;
+  return ops_per_sec;
 }
 
 struct ScenarioResult {
@@ -865,18 +705,14 @@ int main(int argc, char** argv) {
 
   std::cout << "== sim_core — event core + TSDB hot-path benchmark ==\n";
 
-  const EventCoreResult ev = bench_event_core(chains, hops, reps);
-  std::cout << "event core   : " << ev.new_events_per_sec / 1e6
-            << " M events/s  (legacy " << ev.legacy_events_per_sec / 1e6
-            << " M events/s, speedup " << ev.speedup << "x)\n";
+  const double events_per_sec = bench_event_core(chains, hops, reps);
+  std::cout << "event core   : " << events_per_sec / 1e6 << " M events/s\n";
 
   const double periodic = bench_periodic(periodic_tasks, periodic_sim_seconds);
   std::cout << "periodic     : " << periodic / 1e6 << " M firings/s\n";
 
-  const TsdbResult tsdb = bench_tsdb(tsdb_series, tsdb_cycles, 4);
-  std::cout << "tsdb         : " << tsdb.new_ops_per_sec / 1e6
-            << " M ops/s     (legacy " << tsdb.legacy_ops_per_sec / 1e6
-            << " M ops/s, speedup " << tsdb.speedup << "x)\n";
+  const double tsdb_ops_per_sec = bench_tsdb(tsdb_series, tsdb_cycles, 4);
+  std::cout << "tsdb         : " << tsdb_ops_per_sec / 1e6 << " M ops/s\n";
 
   const ScenarioResult scenario = bench_scenario(scenario_duration, reps);
   std::cout << "scenario     : " << scenario.wall_seconds << " s wall for "
@@ -961,10 +797,7 @@ int main(int argc, char** argv) {
        << "  \"event_core\": {\n"
        << "    \"chains\": " << chains << ",\n"
        << "    \"hops\": " << hops << ",\n"
-       << "    \"events_per_sec\": " << ev.new_events_per_sec << ",\n"
-       << "    \"legacy_events_per_sec\": " << ev.legacy_events_per_sec
-       << ",\n"
-       << "    \"speedup\": " << ev.speedup << "\n"
+       << "    \"events_per_sec\": " << events_per_sec << "\n"
        << "  },\n"
        << "  \"periodic\": {\n"
        << "    \"tasks\": " << periodic_tasks << ",\n"
@@ -973,9 +806,7 @@ int main(int argc, char** argv) {
        << "  \"tsdb\": {\n"
        << "    \"series\": " << tsdb_series << ",\n"
        << "    \"cycles\": " << tsdb_cycles << ",\n"
-       << "    \"ops_per_sec\": " << tsdb.new_ops_per_sec << ",\n"
-       << "    \"legacy_ops_per_sec\": " << tsdb.legacy_ops_per_sec << ",\n"
-       << "    \"speedup\": " << tsdb.speedup << "\n"
+       << "    \"ops_per_sec\": " << tsdb_ops_per_sec << "\n"
        << "  },\n"
        << "  \"scenario\": {\n"
        << "    \"sim_seconds\": " << scenario.sim_seconds << ",\n"

@@ -15,15 +15,28 @@
 //    weighted mix, each operation being its own stage list.
 //
 // Both hotel-reservation and social-network are built from these.
+//
+// Per-request state lives in a behavior-owned SlotPool of stage frames, and
+// every continuation captures only {this, frame handle} (plus the target
+// deployment on the local path), so the whole call graph runs without heap
+// allocation. Each call's target (a Proxy for mesh calls, a
+// ServiceDeployment for local ones) is resolved on first use and cached:
+// a behavior belongs to exactly one deployment, so it always runs in the
+// same cluster of the same mesh.
 #pragma once
 
+#include "l3/common/slot_pool.h"
 #include "l3/common/time.h"
 #include "l3/dsb/disturbance.h"
 #include "l3/mesh/deployment.h"
 
-#include <memory>
+#include <cstdint>
 #include <string>
 #include <vector>
+
+namespace l3::mesh {
+class Proxy;
+}  // namespace l3::mesh
 
 namespace l3::dsb {
 
@@ -64,27 +77,77 @@ class DsbBehavior : public mesh::ServiceBehavior {
   static constexpr double kComponentSigma = 0.30;
 
  protected:
+  /// A stage list plus, parallel to it, each call's target — filled on the
+  /// call's first use (not at construction), so proxies are created in the
+  /// same order as when every call looked its target up by name.
+  struct Plan {
+    struct Target {
+      mesh::Proxy* proxy = nullptr;                   ///< mesh-routed call
+      mesh::ServiceDeployment* deployment = nullptr;  ///< local call
+    };
+    explicit Plan(std::vector<Stage> stage_list);
+
+    std::vector<Stage> stages;
+    std::vector<std::vector<Target>> targets;
+  };
+
   DsbBehavior(const ServiceProfile& profile, const ClusterLoadModel& load,
               double success_rate);
 
-  /// One execution-time draw under the cluster's current load factors.
-  SimDuration sample_exec(const mesh::BehaviorContext& ctx) const;
-
   bool sample_success(const mesh::BehaviorContext& ctx) const;
 
-  /// Runs the stage list (parallel within, sequential across), then
-  /// `done(Outcome{all_calls_succeeded})`.
-  static void run_stages(const mesh::BehaviorContext& ctx,
-                         std::shared_ptr<const std::vector<Stage>> stages,
-                         std::size_t index, bool ok_so_far,
-                         mesh::OutcomeFn done);
+  /// Draws the execution time, then runs `plan` (parallel within a stage,
+  /// sequential across) and fires `done(Outcome{ok && all_calls_ok})`.
+  void start(const mesh::BehaviorContext& ctx, Plan& plan, bool ok,
+             mesh::OutcomeFn done);
 
  private:
+  /// Pooled per-request state. The context's sim, mesh, cluster and RNG are
+  /// the same for every request of this behavior, so they are bound once
+  /// (see bind()); only the per-request fields live here.
+  struct Frame {
+    mesh::OutcomeFn done;
+    trace::SpanContext trace{};
+    int depth = 0;
+    Plan* plan = nullptr;
+    std::uint32_t stage = 0;      ///< index of the running stage
+    std::uint32_t remaining = 0;  ///< calls of that stage still in flight
+    bool ok = true;
+  };
+  using FrameHandle = common::SlotPool<Frame>::Handle;
+
+  /// Records the first request's context; asserts every later one matches
+  /// (one behavior instance per deployment).
+  void bind(const mesh::BehaviorContext& ctx);
+  /// One execution-time draw under the cluster's current load factors.
+  SimDuration sample_exec();
+  /// Skips empty stages and issues every call of the next one, or
+  /// completes the frame when no stage is left.
+  void run_stage(FrameHandle handle);
+  /// Issues call `index` of the running stage; completes through
+  /// call_done() exactly once (synchronously when gated off).
+  void send_call(FrameHandle handle, std::size_t index);
+  void call_done(FrameHandle handle, bool ok);
+
   const ClusterLoadModel& load_;
   double median_;
   double tail_level_;
   double sensitivity_;
   double success_rate_;
+
+  // Bound context (nullptr until the first request).
+  sim::Simulator* sim_ = nullptr;
+  mesh::Mesh* mesh_ = nullptr;
+  mesh::ClusterId cluster_ = 0;
+  SplitRng* rng_ = nullptr;
+
+  /// pow(factor, sensitivity_) for the last factors seen, recomputed only
+  /// when the cluster's factors change.
+  ClusterLoadModel::Factors cached_factors_{};
+  double median_scale_ = 1.0;
+  double tail_scale_ = 1.0;
+
+  common::SlotPool<Frame> frames_;
 };
 
 /// Compute, then a fixed stage list (most services).
@@ -96,7 +159,7 @@ class StagedBehavior final : public DsbBehavior {
   void invoke(const mesh::BehaviorContext& ctx, mesh::OutcomeFn done) override;
 
  private:
-  std::shared_ptr<const std::vector<Stage>> stages_;
+  Plan plan_;
 };
 
 /// Compute, then one operation drawn from a weighted mix (frontends).
@@ -109,7 +172,7 @@ class MixBehavior final : public DsbBehavior {
 
  private:
   std::vector<double> cumulative_;  // normalised cumulative weights
-  std::vector<std::shared_ptr<const std::vector<Stage>>> stages_;
+  std::vector<Plan> plans_;         // one per operation; never resized
 };
 
 }  // namespace l3::dsb

@@ -173,7 +173,11 @@ class ServiceDeployment {
     trace::SpanContext server{};
     SimTime enqueued = 0.0;
     int depth = 0;
-    std::uint32_t replica = 0;  ///< index of the replica handling the call
+    /// The replica handling the call. A pointer, not an index: scale-down
+    /// erases replicas and shifts later indices, while each Replica stays
+    /// put in its unique_ptr. Only idle replicas are erased, so no live
+    /// call ever points at a freed one.
+    const Replica* replica = nullptr;
     ReleaseToken release;
   };
   using CallHandle = common::SlotPool<PendingCall>::Handle;

@@ -3,8 +3,8 @@
 # and runs ctest for each, runs the concurrency-sensitive tests (experiment
 # runner, simulator, logging, obs shard merge, shard engine + mailboxes)
 # under ThreadSanitizer, then the plain RelWithDebInfo build,
-# jobs-invariance smoke diffs on figure benches (plain, chaos, --profile,
-# and --no-batch), a --proxy-cost=0 zero-cost identity diff,
+# jobs-invariance smoke diffs on figure benches (plain, chaos, the DSB call
+# graph, --profile, and --no-batch), a --proxy-cost=0 zero-cost identity diff,
 # shard-invariance smoke diffs (--shards=2/4 vs the serial
 # run, plain and chaos), an L3_OBS=OFF byte-identical golden, a
 # Release-mode bench/sim_core smoke run (writes BENCH_sim_core.json), the
@@ -63,27 +63,27 @@ done
 # Jobs-invariance smoke: a parallel sweep must produce byte-identical
 # stdout and JSON to the serial one (the harness's core guarantee).
 if [[ " ${presets[*]} " == *" default "* ]]; then
-  echo "==> [default] jobs-invariance smoke (fig10_scenarios)"
   smoke_dir=$(mktemp -d)
   trap 'rm -rf "$smoke_dir"' EXIT
-  ./build/bench/fig10_scenarios --fast --reps 1 --jobs 1 \
-      --json "$smoke_dir/j1.json" > "$smoke_dir/j1.out"
-  ./build/bench/fig10_scenarios --fast --reps 1 --jobs 2 \
-      --json "$smoke_dir/j2.json" > "$smoke_dir/j2.out"
-  diff "$smoke_dir/j1.out" "$smoke_dir/j2.out"
-  diff "$smoke_dir/j1.json" "$smoke_dir/j2.json"
-  echo "    byte-identical at --jobs 1 and --jobs 2"
+  # same A B: runs A and B wrote byte-identical stdout and JSON.
+  same() {
+    diff "$smoke_dir/$1.out" "$smoke_dir/$2.out"
+    diff "$smoke_dir/$1.json" "$smoke_dir/$2.json"
+  }
 
-  # Same guarantee under fault injection: fig11 arms a FaultPlan per cell,
-  # so this also proves chaos timelines are jobs-invariant.
-  echo "==> [default] chaos jobs-invariance smoke (fig11_failure_latency)"
-  ./build/bench/fig11_failure_latency --fast --reps 1 --jobs 1 \
-      --json "$smoke_dir/c1.json" > "$smoke_dir/c1.out"
-  ./build/bench/fig11_failure_latency --fast --reps 1 --jobs 2 \
-      --json "$smoke_dir/c2.json" > "$smoke_dir/c2.out"
-  diff "$smoke_dir/c1.out" "$smoke_dir/c2.out"
-  diff "$smoke_dir/c1.json" "$smoke_dir/c2.json"
-  echo "    byte-identical at --jobs 1 and --jobs 2"
+  # fig10 is the headline sweep; fig11 arms a FaultPlan per cell, so chaos
+  # timelines are covered; fig09 runs the DSB call graph, the only
+  # multi-hop request path. Each bench's --jobs 1 run ("<bench>.j1") is the
+  # golden the later smokes diff against.
+  for bench in fig10_scenarios fig11_failure_latency fig09_deathstarbench; do
+    echo "==> [default] jobs-invariance smoke ($bench)"
+    for jobs in 1 2; do
+      ./build/bench/"$bench" --fast --reps 1 --jobs "$jobs" \
+          --json "$smoke_dir/$bench.j$jobs.json" > "$smoke_dir/$bench.j$jobs.out"
+    done
+    same "$bench.j1" "$bench.j2"
+    echo "    byte-identical at --jobs 1 and --jobs 2"
+  done
 
   # --profile jobs-invariance: the JSON `profile` block is merged in grid
   # order from deterministic counts, so a profiled run must stay
@@ -93,8 +93,7 @@ if [[ " ${presets[*]} " == *" default "* ]]; then
       --json "$smoke_dir/p1.json" > "$smoke_dir/p1.out" 2>/dev/null
   ./build/bench/fig10_scenarios --fast --reps 1 --jobs 2 --profile \
       --json "$smoke_dir/p2.json" > "$smoke_dir/p2.out" 2>/dev/null
-  diff "$smoke_dir/p1.out" "$smoke_dir/p2.out"
-  diff "$smoke_dir/p1.json" "$smoke_dir/p2.json"
+  same p1 p2
   grep -q '"profile"' "$smoke_dir/p1.json" \
     || { echo "FAIL: --profile produced no profile block"; exit 1; }
   # The control-plane scopes (columnar scrape plan, fused controller
@@ -109,12 +108,13 @@ if [[ " ${presets[*]} " == *" default "* ]]; then
   # Batch-identity smoke: --no-batch restores the strictly per-event loop,
   # which must produce byte-identical stdout and JSON to the batched
   # default (batching is a pure dispatch-overhead optimization).
-  echo "==> [default] --no-batch identity smoke (fig10_scenarios)"
-  ./build/bench/fig10_scenarios --fast --reps 1 --jobs 1 --no-batch \
-      --json "$smoke_dir/nb.json" > "$smoke_dir/nb.out"
-  diff "$smoke_dir/j1.out" "$smoke_dir/nb.out"
-  diff "$smoke_dir/j1.json" "$smoke_dir/nb.json"
-  echo "    byte-identical with --no-batch"
+  for bench in fig10_scenarios fig09_deathstarbench; do
+    echo "==> [default] --no-batch identity smoke ($bench)"
+    ./build/bench/"$bench" --fast --reps 1 --jobs 1 --no-batch \
+        --json "$smoke_dir/$bench.nb.json" > "$smoke_dir/$bench.nb.out"
+    same "$bench.j1" "$bench.nb"
+    echo "    byte-identical with --no-batch"
+  done
 
   # Zero-cost proxy identity: an explicit --proxy-cost=0 arms the whole
   # ProxyCostConfig plumbing (runner -> mesh -> proxy) with zero-valued
@@ -123,8 +123,7 @@ if [[ " ${presets[*]} " == *" default "* ]]; then
   echo "==> [default] --proxy-cost=0 identity smoke (fig10_scenarios)"
   ./build/bench/fig10_scenarios --fast --reps 1 --jobs 1 --proxy-cost=0 \
       --json "$smoke_dir/pc0.json" > "$smoke_dir/pc0.out"
-  diff "$smoke_dir/j1.out" "$smoke_dir/pc0.out"
-  diff "$smoke_dir/j1.json" "$smoke_dir/pc0.json"
+  same fig10_scenarios.j1 pc0
   echo "    byte-identical with --proxy-cost=0"
 
   # Shard-invariance smoke: running the bench grid through the sharded
@@ -135,8 +134,7 @@ if [[ " ${presets[*]} " == *" default "* ]]; then
   for n in 2 4; do
     ./build/bench/fig10_scenarios --fast --reps 1 --jobs 1 --shards="$n" \
         --json "$smoke_dir/s$n.json" > "$smoke_dir/s$n.out"
-    diff "$smoke_dir/j1.out" "$smoke_dir/s$n.out"
-    diff "$smoke_dir/j1.json" "$smoke_dir/s$n.json"
+    same fig10_scenarios.j1 "s$n"
   done
   echo "    byte-identical at --shards=1, 2 and 4"
 
@@ -145,8 +143,7 @@ if [[ " ${presets[*]} " == *" default "* ]]; then
   echo "==> [default] chaos shard-invariance smoke (fig11_failure_latency)"
   ./build/bench/fig11_failure_latency --fast --reps 1 --jobs 1 --shards=2 \
       --json "$smoke_dir/cs2.json" > "$smoke_dir/cs2.out"
-  diff "$smoke_dir/c1.out" "$smoke_dir/cs2.out"
-  diff "$smoke_dir/c1.json" "$smoke_dir/cs2.json"
+  same fig11_failure_latency.j1 cs2
   echo "    byte-identical at --shards=1 and --shards=2 under chaos"
 
   # L3_OBS=OFF zero-cost check: compiling the instrumentation out must not
@@ -157,13 +154,12 @@ if [[ " ${presets[*]} " == *" default "* ]]; then
   cmake --build --preset obsoff -j "$(nproc)" --target fig10_scenarios
   ./build-obsoff/bench/fig10_scenarios --fast --reps 1 --jobs 1 \
       --json "$smoke_dir/off1.json" > "$smoke_dir/off1.out"
-  diff "$smoke_dir/j1.out" "$smoke_dir/off1.out"
-  diff "$smoke_dir/j1.json" "$smoke_dir/off1.json"
+  same fig10_scenarios.j1 off1
   # --profile still parses with obs compiled out; the report just carries
   # an all-zero-count profile block (recorder runs, macros are no-ops).
   ./build-obsoff/bench/fig10_scenarios --fast --reps 1 --jobs 2 --profile \
       --json "$smoke_dir/off2.json" > "$smoke_dir/off2.out" 2>/dev/null
-  diff "$smoke_dir/j1.out" "$smoke_dir/off2.out"
+  diff "$smoke_dir/fig10_scenarios.j1.out" "$smoke_dir/off2.out"
   echo "    L3_OBS=OFF output byte-identical to the instrumented build"
 fi
 

@@ -1,57 +1,19 @@
 #include "l3/dsb/behaviors.h"
 
 #include "l3/common/assert.h"
-#include "l3/common/function.h"
 #include "l3/mesh/mesh.h"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
 namespace l3::dsb {
-namespace {
 
-/// Per-call completion callback. Every caller passes a lambda holding one
-/// shared_ptr (16 bytes), so 24 keeps it inline while the wrapper lambdas
-/// that re-capture it still fit the ResponseFn/EventFn budgets.
-using CallDoneFn = common::SmallFn<void(bool), 24>;
-
-/// Issues one call (mesh or local); `cb(ok)` fires exactly once.
-void issue_call(const mesh::BehaviorContext& ctx, const Call& call,
-                CallDoneFn cb) {
-  if (call.probability < 1.0 && !ctx.rng.bernoulli(call.probability)) {
-    cb(true);  // gated off: counts as trivially successful
-    return;
-  }
-  if (!call.local) {
-    ctx.mesh.call(ctx.cluster, call.service, ctx.depth, ctx.trace,
-                  [cb = std::move(cb)](const mesh::Response& response) mutable {
-                    cb(response.success);
-                  });
-    return;
-  }
-  // Cluster-local dependency: a local network hop to the co-located
-  // deployment, no TrafficSplit involved. The trace context still
-  // propagates so fan-out spans attach under the calling server span.
-  mesh::ServiceDeployment* deployment =
-      ctx.mesh.find_deployment(call.service, ctx.cluster);
-  L3_ASSERT(deployment != nullptr);
-  const SimDuration out =
-      ctx.mesh.wan().sample(ctx.cluster, ctx.cluster, ctx.sim.now(), ctx.rng);
-  ctx.sim.schedule_after(out, [ctx, deployment, cb = std::move(cb)]() mutable {
-    deployment->handle(
-        ctx.depth + 1, ctx.trace,
-        [ctx, cb = std::move(cb)](const mesh::Outcome& outcome) mutable {
-          const SimDuration back = ctx.mesh.wan().sample(
-              ctx.cluster, ctx.cluster, ctx.sim.now(), ctx.rng);
-          ctx.sim.schedule_after(
-              back, [cb = std::move(cb), ok = outcome.success]() mutable {
-                cb(ok);
-              });
-        });
-  });
+DsbBehavior::Plan::Plan(std::vector<Stage> stage_list)
+    : stages(std::move(stage_list)) {
+  targets.reserve(stages.size());
+  for (const Stage& stage : stages) targets.emplace_back(stage.size());
 }
-
-}  // namespace
 
 DsbBehavior::DsbBehavior(const ServiceProfile& profile,
                          const ClusterLoadModel& load, double success_rate)
@@ -64,69 +26,143 @@ DsbBehavior::DsbBehavior(const ServiceProfile& profile,
   L3_EXPECTS(success_rate >= 0.0 && success_rate <= 1.0);
 }
 
-SimDuration DsbBehavior::sample_exec(const mesh::BehaviorContext& ctx) const {
-  const auto& factors = load_.factors(ctx.cluster);
-  if (ctx.rng.bernoulli(kTailWeight)) {
-    return tail_level_ * std::pow(factors.tail, sensitivity_) *
-           ctx.rng.lognormal(0.0, kComponentSigma);
+void DsbBehavior::bind(const mesh::BehaviorContext& ctx) {
+  if (mesh_ == nullptr) {
+    sim_ = &ctx.sim;
+    mesh_ = &ctx.mesh;
+    cluster_ = ctx.cluster;
+    rng_ = &ctx.rng;
   }
-  return median_ * std::pow(factors.median, sensitivity_) *
-         ctx.rng.lognormal(0.0, kComponentSigma);
+  // The cached targets and load scales are only valid for one deployment.
+  L3_ASSERT(sim_ == &ctx.sim && mesh_ == &ctx.mesh &&
+            cluster_ == ctx.cluster && rng_ == &ctx.rng);
+}
+
+SimDuration DsbBehavior::sample_exec() {
+  const auto& factors = load_.factors(cluster_);
+  if (factors.median != cached_factors_.median ||
+      factors.tail != cached_factors_.tail) {
+    cached_factors_ = factors;
+    median_scale_ = std::pow(factors.median, sensitivity_);
+    tail_scale_ = std::pow(factors.tail, sensitivity_);
+  }
+  if (rng_->bernoulli(kTailWeight)) {
+    return tail_level_ * tail_scale_ * rng_->lognormal(0.0, kComponentSigma);
+  }
+  return median_ * median_scale_ * rng_->lognormal(0.0, kComponentSigma);
 }
 
 bool DsbBehavior::sample_success(const mesh::BehaviorContext& ctx) const {
   return ctx.rng.bernoulli(success_rate_);
 }
 
-void DsbBehavior::run_stages(const mesh::BehaviorContext& ctx,
-                             std::shared_ptr<const std::vector<Stage>> stages,
-                             std::size_t index, bool ok_so_far,
-                             mesh::OutcomeFn done) {
-  if (index >= stages->size()) {
-    done(mesh::Outcome{ok_so_far});
+void DsbBehavior::start(const mesh::BehaviorContext& ctx, Plan& plan, bool ok,
+                        mesh::OutcomeFn done) {
+  bind(ctx);
+  const SimDuration exec = sample_exec();
+  const FrameHandle handle = frames_.acquire();
+  Frame& frame = *frames_.get(handle);
+  frame.done = std::move(done);
+  frame.trace = ctx.trace;
+  frame.depth = ctx.depth;
+  frame.plan = &plan;
+  frame.stage = 0;
+  frame.remaining = 0;
+  frame.ok = ok;
+  auto run = [this, handle] { run_stage(handle); };
+  static_assert(sim::EventFn::fits_inline<decltype(run)>());
+  sim_->schedule_after(exec, std::move(run));
+}
+
+void DsbBehavior::run_stage(FrameHandle handle) {
+  Frame* frame = frames_.get(handle);
+  L3_ASSERT(frame != nullptr);  // held until the last stage completes
+  const std::vector<Stage>& stages = frame->plan->stages;
+  while (frame->stage < stages.size() && stages[frame->stage].empty()) {
+    ++frame->stage;
+  }
+  if (frame->stage == stages.size()) {
+    mesh::OutcomeFn done = std::move(frame->done);
+    const bool ok = frame->ok;
+    frames_.release(handle);
+    done(mesh::Outcome{ok});
     return;
   }
-  const Stage& stage = (*stages)[index];
-  if (stage.empty()) {
-    run_stages(ctx, std::move(stages), index + 1, ok_so_far, std::move(done));
+  const std::size_t calls = stages[frame->stage].size();
+  frame->remaining = static_cast<std::uint32_t>(calls);
+  // The frame outlives every issue but the last: it is released only after
+  // all `calls` completions, and a synchronous completion of the last call
+  // may advance (and finish) the frame before send_call returns.
+  for (std::size_t i = 0; i < calls; ++i) send_call(handle, i);
+}
+
+void DsbBehavior::send_call(FrameHandle handle, std::size_t index) {
+  Frame* frame = frames_.get(handle);
+  L3_ASSERT(frame != nullptr);
+  const Call& call = frame->plan->stages[frame->stage][index];
+  Plan::Target& target = frame->plan->targets[frame->stage][index];
+  if (call.probability < 1.0 && !rng_->bernoulli(call.probability)) {
+    call_done(handle, true);  // gated off: counts as trivially successful
     return;
   }
-  struct Join {
-    std::size_t remaining;
-    bool ok;
-    mesh::BehaviorContext ctx;
-    std::shared_ptr<const std::vector<Stage>> stages;
-    std::size_t index;
-    mesh::OutcomeFn done;
+  if (!call.local) {
+    if (target.proxy == nullptr) {
+      target.proxy = &mesh_->proxy(cluster_, call.service);
+    }
+    auto on_response = [this, handle](const mesh::Response& response) {
+      call_done(handle, response.success);
+    };
+    static_assert(mesh::ResponseFn::fits_inline<decltype(on_response)>());
+    target.proxy->send(frame->depth, frame->trace, std::move(on_response));
+    return;
+  }
+  // Cluster-local dependency: a local network hop to the co-located
+  // deployment, no TrafficSplit involved. The trace context still
+  // propagates so fan-out spans attach under the calling server span.
+  if (target.deployment == nullptr) {
+    target.deployment = mesh_->find_deployment(call.service, cluster_);
+    L3_ASSERT(target.deployment != nullptr);
+  }
+  const SimDuration out =
+      mesh_->wan().sample(cluster_, cluster_, sim_->now(), *rng_);
+  auto arrive = [this, handle, deployment = target.deployment] {
+    const Frame* f = frames_.get(handle);
+    L3_ASSERT(f != nullptr);
+    auto on_outcome = [this, handle](const mesh::Outcome& outcome) {
+      const SimDuration back =
+          mesh_->wan().sample(cluster_, cluster_, sim_->now(), *rng_);
+      auto reply = [this, handle, ok = outcome.success] {
+        call_done(handle, ok);
+      };
+      static_assert(sim::EventFn::fits_inline<decltype(reply)>());
+      sim_->schedule_after(back, std::move(reply));
+    };
+    static_assert(mesh::OutcomeFn::fits_inline<decltype(on_outcome)>());
+    deployment->handle(f->depth + 1, f->trace, std::move(on_outcome));
   };
-  auto join = std::make_shared<Join>(Join{stage.size(), ok_so_far, ctx,
-                                          std::move(stages), index,
-                                          std::move(done)});
-  for (const Call& call : stage) {
-    issue_call(ctx, call, [join](bool ok) {
-      if (!ok) join->ok = false;
-      if (--join->remaining == 0) {
-        run_stages(join->ctx, std::move(join->stages), join->index + 1,
-                   join->ok, std::move(join->done));
-      }
-    });
+  static_assert(sim::EventFn::fits_inline<decltype(arrive)>());
+  sim_->schedule_after(out, std::move(arrive));
+}
+
+void DsbBehavior::call_done(FrameHandle handle, bool ok) {
+  Frame* frame = frames_.get(handle);
+  L3_ASSERT(frame != nullptr);
+  if (!ok) frame->ok = false;
+  if (--frame->remaining == 0) {
+    ++frame->stage;
+    run_stage(handle);
   }
 }
 
 StagedBehavior::StagedBehavior(const ServiceProfile& profile,
                                const ClusterLoadModel& load,
                                double success_rate, std::vector<Stage> stages)
-    : DsbBehavior(profile, load, success_rate),
-      stages_(std::make_shared<const std::vector<Stage>>(std::move(stages))) {}
+    : DsbBehavior(profile, load, success_rate), plan_(std::move(stages)) {}
 
 void StagedBehavior::invoke(const mesh::BehaviorContext& ctx,
                             mesh::OutcomeFn done) {
   const bool ok = sample_success(ctx);
-  ctx.sim.schedule_after(
-      sample_exec(ctx),
-      [ctx, ok, stages = stages_, done = std::move(done)]() mutable {
-        run_stages(ctx, std::move(stages), 0, ok, std::move(done));
-      });
+  start(ctx, plan_, ok, std::move(done));
 }
 
 MixBehavior::MixBehavior(const ServiceProfile& profile,
@@ -140,18 +176,18 @@ MixBehavior::MixBehavior(const ServiceProfile& profile,
     total += op.weight;
   }
   double running = 0.0;
+  plans_.reserve(operations.size());
   for (auto& op : operations) {
     running += op.weight / total;
     cumulative_.push_back(running);
-    stages_.push_back(
-        std::make_shared<const std::vector<Stage>>(std::move(op.stages)));
+    plans_.emplace_back(std::move(op.stages));
   }
 }
 
 void MixBehavior::invoke(const mesh::BehaviorContext& ctx,
                          mesh::OutcomeFn done) {
   const double draw = ctx.rng.uniform();
-  std::size_t op = stages_.size() - 1;
+  std::size_t op = plans_.size() - 1;
   for (std::size_t i = 0; i < cumulative_.size(); ++i) {
     if (draw < cumulative_[i]) {
       op = i;
@@ -159,11 +195,7 @@ void MixBehavior::invoke(const mesh::BehaviorContext& ctx,
     }
   }
   const bool ok = sample_success(ctx);
-  ctx.sim.schedule_after(
-      sample_exec(ctx),
-      [ctx, ok, stages = stages_[op], done = std::move(done)]() mutable {
-        run_stages(ctx, std::move(stages), 0, ok, std::move(done));
-      });
+  start(ctx, plans_[op], ok, std::move(done));
 }
 
 }  // namespace l3::dsb

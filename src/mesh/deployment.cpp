@@ -110,7 +110,7 @@ void ServiceDeployment::handle(int depth, trace::SpanContext parent,
   call.server = server;
   call.enqueued = sim_.now();
   call.depth = depth;
-  call.replica = static_cast<std::uint32_t>(best);
+  call.replica = replicas_[best].get();
   const bool accepted = replicas_[best]->submit(
       [this, handle](ReleaseToken release) {
         run_call(handle, std::move(release));
@@ -184,7 +184,7 @@ void ServiceDeployment::crash_replica(std::size_t i) {
   // may re-enter handle() and mutate the pool mid-iteration.
   std::vector<CallHandle> victims;
   calls_.for_each_live([&](CallHandle h, PendingCall& call) {
-    if (call.replica == i) victims.push_back(h);
+    if (call.replica == &replica) victims.push_back(h);
   });
   for (const CallHandle h : victims) {
     PendingCall* call = calls_.get(h);

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
+#include <vector>
 
 namespace l3::mesh {
 namespace {
@@ -254,6 +256,51 @@ TEST_F(AutoscalerTest, CrashDuringProvisioningKeepsPendingAccounting) {
   EXPECT_GE(scaler.scale_ups(), 2u);
   keep_going = false;
   sim.run_until(50.0);
+}
+
+/// Parks every request's done callback for the test to fire by hand.
+class ManualBehavior final : public ServiceBehavior {
+ public:
+  explicit ManualBehavior(std::vector<OutcomeFn>& parked) : parked_(parked) {}
+  void invoke(const BehaviorContext&, OutcomeFn done) override {
+    parked_.push_back(std::move(done));
+  }
+
+ private:
+  std::vector<OutcomeFn>& parked_;
+};
+
+TEST_F(AutoscalerTest, CrashAfterScaleDownHitsTheRightReplica) {
+  // Regression: pending calls remembered their replica by index, and
+  // remove_idle_replica() shifts every later index — crashing replica 0
+  // after a scale-down then failed nothing (the call was filed under
+  // index 1) and restart tripped the "no active slots" assertion.
+  std::vector<OutcomeFn> parked;
+  auto& d = mesh.deploy(
+      "svc", cluster, {.replicas = 2, .concurrency = 4, .queue_capacity = 16},
+      std::make_unique<ManualBehavior>(parked));
+  int a_done = 0;
+  int b_failed = 0;
+  d.handle(0, [&](const Outcome&) { ++a_done; });  // A -> replica 0
+  d.handle(0, [&](const Outcome& o) {             // B -> replica 1
+    if (!o.success) ++b_failed;
+  });
+  ASSERT_EQ(parked.size(), 2u);
+  ASSERT_EQ(d.replica(0).active(), 1u);
+  ASSERT_EQ(d.replica(1).active(), 1u);
+
+  parked[0](Outcome{});  // A finishes; replica 0 is idle
+  EXPECT_EQ(a_done, 1);
+  ASSERT_TRUE(d.remove_idle_replica());
+  ASSERT_EQ(d.replica_count(), 1u);  // B's replica is now index 0
+
+  d.crash_replica(0);
+  EXPECT_EQ(d.crash_failed(), 1u);
+  EXPECT_EQ(b_failed, 1);
+  EXPECT_EQ(d.live_calls(), 0u);
+  parked[1](Outcome{});  // B's late behavior completion is absorbed
+  EXPECT_NO_THROW(d.restart_replica(0));
+  EXPECT_EQ(d.alive_replicas(), 1u);
 }
 
 TEST_F(AutoscalerTest, RejectsBadConfig) {
