@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Builds the test suite under AddressSanitizer and UndefinedBehaviorSanitizer
+# Checks that library code uses no <random> engine or distribution, builds
+# the test suite under AddressSanitizer and UndefinedBehaviorSanitizer
 # and runs ctest for each, runs the concurrency-sensitive tests (experiment
 # runner, simulator, logging, obs shard merge, shard engine + mailboxes)
 # under ThreadSanitizer, then the plain RelWithDebInfo build,
@@ -25,6 +26,19 @@ presets=("$@")
 if [[ ${#presets[@]} -eq 0 ]]; then
   presets=(asan ubsan tsan default)
 fi
+
+# Portable-RNG gate: the library's streams come from the in-repo Mt64 engine
+# and samplers (common/rng.h), whose bits do not depend on the standard
+# library. Code under src/ and include/ must not reach for <random>'s
+# engines or implementation-defined distributions; comment lines (which
+# cite the libstdc++ algorithms reproduced) are exempt.
+echo "==> portable-RNG gate (src/, include/)"
+if grep -rnE '#include <random>|std::[a-z_]*_distribution|generate_canonical|mt19937' \
+    src include | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then
+  echo "FAIL: <random> engine/distribution use in src/ or include/ (see above)"
+  exit 1
+fi
+echo "    no <random> engines or distributions in library code"
 
 for preset in "${presets[@]}"; do
   echo "==> [$preset] configure"

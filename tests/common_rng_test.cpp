@@ -1,10 +1,16 @@
 // Unit + property tests for the deterministic splittable RNG.
 #include "l3/common/rng.h"
 
+#include "l3/common/assert.h"
+
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
 #include <set>
+#include <utility>
 #include <vector>
 
 namespace l3 {
@@ -146,6 +152,219 @@ TEST_P(RngSeedSweep, NormalSymmetry) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RngSeedSweep,
                          ::testing::Values(1, 2, 3, 42, 1000, 99999));
+
+// ---------------------------------------------------------------------------
+// Bit-identity with <random>. SplitRng's engine and samplers are in-repo
+// reimplementations of std::mt19937_64 and libstdc++'s distributions; these
+// differential tests hold every golden hash in the repo to that claim.
+
+constexpr int kDiffDraws = 1'000'000;
+
+/// Runs `ours` and `oracle` side by side `kDiffDraws` times and compares
+/// the results bit for bit, reporting the first mismatch only.
+template <typename T, typename Ours, typename Oracle>
+void expect_same_draws(Ours ours, Oracle oracle) {
+  for (int i = 0; i < kDiffDraws; ++i) {
+    const T a = ours();
+    const T b = oracle();
+    if (a != b) {
+      ADD_FAILURE() << "draw " << i << " differs: " << a << " vs " << b;
+      return;
+    }
+  }
+}
+
+TEST(Mt64, MatchesStdMt19937_64) {
+  for (const std::uint64_t seed :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{42},
+        std::numeric_limits<std::uint64_t>::max()}) {
+    SCOPED_TRACE(seed);
+    Mt64 ours(seed);
+    std::mt19937_64 oracle(seed);
+    expect_same_draws<std::uint64_t>([&] { return ours(); }, [&] { return oracle(); });
+  }
+}
+
+TEST(Mt64, TenThousandthOutputIsTheStandardsCheckValue) {
+  // [rand.predef]: the 10000th consecutive invocation of a default-
+  // constructed mt19937_64 (seed 5489) produces 9981545732273789042.
+  Mt64 engine(5489);
+  for (int i = 1; i < 10000; ++i) engine();
+  EXPECT_EQ(engine(), 9981545732273789042ULL);
+}
+
+TEST(SplitRng, SizeStaysOneEngineAndOneSeed) {
+  EXPECT_LE(sizeof(SplitRng),
+            Mt64::kStateWords * sizeof(std::uint64_t) + 2 * sizeof(std::uint64_t));
+}
+
+/// A generator that returns one fixed word, to feed generate_canonical.
+struct FixedWord {
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+  result_type operator()() { return x; }
+  std::uint64_t x;
+};
+
+TEST(UniformFromBits, EdgeWords) {
+  constexpr double kBelowOne = 0x1.fffffffffffffp-1;
+  struct Case {
+    std::uint64_t x;
+    double expected;
+  };
+  const Case cases[] = {
+      {0, 0.0},
+      {1, 0x1p-64},
+      {std::uint64_t{1} << 53, 0x1p-11},
+      {std::uint64_t{1} << 63, 0.5},
+      // 2^64 - 1025 is the largest word that rounds below 2^64 ...
+      {~std::uint64_t{0} - 1024, kBelowOne},
+      // ... from 2^64 - 1024 up the sum rounds to 2^64 and is clamped.
+      {~std::uint64_t{0} - 1023, kBelowOne},
+      {~std::uint64_t{0}, kBelowOne},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.x);
+    EXPECT_EQ(uniform_from_bits(c.x), c.expected);
+#if defined(__GLIBCXX__)
+    FixedWord stub{c.x};
+    EXPECT_EQ(uniform_from_bits(c.x), (std::generate_canonical<double, 53>(stub)));
+#endif
+  }
+  // Odd words round to nearest-even exactly once (2^53 + 1 halves to 2^53).
+  EXPECT_EQ(uniform_from_bits((std::uint64_t{1} << 53) + 1), 0x1p-11);
+}
+
+TEST(SplitRng, PinnedFirstDrawsForSeed42) {
+  // Literal values, so they hold on any standard library. The uniform and
+  // integer draws involve no libm call; exponential, normal and lognormal
+  // also pin libm's log/exp.
+  EXPECT_EQ(SplitRng::engine_seed(42), 0xbdd732262feb6e95ULL);
+  EXPECT_EQ(SplitRng(42).next_u64(), 0x23c18b60556ba7f9ULL);
+  EXPECT_EQ(SplitRng(42).uniform(), 0x1.1e0c5b02ab5d4p-3);
+  EXPECT_EQ(SplitRng(42).uniform_int(-10, 1000), 131);
+  EXPECT_EQ(SplitRng(42).uniform_int(std::numeric_limits<std::int64_t>::min(),
+                                     std::numeric_limits<std::int64_t>::max()),
+            -6646878329155901447LL);
+  EXPECT_EQ(SplitRng(42).exponential(4.0), 0x1.341ab5eb819e1p-5);
+  EXPECT_EQ(SplitRng(42).normal(1.5, 0.25), 0x1.bbb51fd2f731ap+0);
+  EXPECT_EQ(SplitRng(42).lognormal(std::log(0.05), 0.5), 0x1.4685c2c34aa55p-4);
+}
+
+TEST(SplitRng, RejectsInvalidParameters) {
+  SplitRng rng(31);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(rng.uniform_int(3, 2), ContractViolation);
+  EXPECT_THROW(rng.exponential(0.0), ContractViolation);
+  EXPECT_THROW(rng.exponential(-1.0), ContractViolation);
+  EXPECT_THROW(rng.exponential(nan), ContractViolation);
+  EXPECT_THROW(rng.normal(0.0, 0.0), ContractViolation);
+  EXPECT_THROW(rng.normal(0.0, -1.0), ContractViolation);
+  EXPECT_THROW(rng.lognormal(0.0, 0.0), ContractViolation);
+  EXPECT_THROW(rng.lognormal(0.0, nan), ContractViolation);
+  EXPECT_EQ(rng.uniform_int(7, 7), 7);
+}
+
+#if defined(__GLIBCXX__)
+// The sampler algorithms are implementation-defined in <random>; SplitRng
+// reproduces libstdc++'s, so the oracle comparisons run only against it.
+
+/// A SplitRng and a std::mt19937_64 holding the same engine state.
+struct Twins {
+  explicit Twins(std::uint64_t seed)
+      : ours(seed), oracle(SplitRng::engine_seed(seed)) {}
+  /// Both sides consumed the same number of engine words.
+  void expect_in_step() { EXPECT_EQ(ours.next_u64(), oracle()); }
+  SplitRng ours;
+  std::mt19937_64 oracle;
+};
+
+TEST(SplitRngOracle, UniformMatchesGenerateCanonical) {
+  Twins t(42);
+  expect_same_draws<double>([&] { return t.ours.uniform(); },
+                            [&] { return std::generate_canonical<double, 53>(t.oracle); });
+  t.expect_in_step();
+}
+
+TEST(SplitRngOracle, BernoulliMatchesStd) {
+  Twins t(43);
+  expect_same_draws<bool>([&] { return t.ours.bernoulli(0.3); },
+                          [&] { return std::bernoulli_distribution(0.3)(t.oracle); });
+  t.expect_in_step();
+}
+
+TEST(SplitRngOracle, ExponentialMatchesStd) {
+  for (const double rate : {1e-3, 0.5, 1.0, 100.0, 1e3}) {
+    SCOPED_TRACE(rate);
+    Twins t(44);
+    expect_same_draws<double>(
+        [&] { return t.ours.exponential(rate); },
+        [&] { return std::exponential_distribution<double>(rate)(t.oracle); });
+    t.expect_in_step();
+  }
+}
+
+TEST(SplitRngOracle, NormalMatchesStd) {
+  const std::pair<double, double> params[] = {{0.0, 1.0}, {3.5, 0.25}, {-2.0, 40.0}};
+  for (const auto& [mean, stddev] : params) {
+    SCOPED_TRACE(testing::Message() << mean << ", " << stddev);
+    Twins t(45);
+    expect_same_draws<double>(
+        [&] { return t.ours.normal(mean, stddev); },
+        [&] { return std::normal_distribution<double>(mean, stddev)(t.oracle); });
+    t.expect_in_step();
+  }
+}
+
+TEST(SplitRngOracle, LognormalMatchesStd) {
+  const std::pair<double, double> params[] = {
+      {0.0, 0.30}, {std::log(0.05), 0.5}, {-3.0, 0.8}, {1.0, 2.0}};
+  for (const auto& [mu, sigma] : params) {
+    SCOPED_TRACE(testing::Message() << mu << ", " << sigma);
+    Twins t(46);
+    expect_same_draws<double>(
+        [&] { return t.ours.lognormal(mu, sigma); },
+        [&] { return std::lognormal_distribution<double>(mu, sigma)(t.oracle); });
+    t.expect_in_step();
+  }
+}
+
+/// std::mt19937_64 that counts the words it hands out.
+struct CountingMt {
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return std::mt19937_64::min(); }
+  static constexpr result_type max() { return std::mt19937_64::max(); }
+  result_type operator()() {
+    ++words;
+    return engine();
+  }
+  std::mt19937_64 engine;
+  std::uint64_t words = 0;
+};
+
+TEST(SplitRngOracle, UniformIntMatchesStd) {
+  constexpr auto kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
+  // [-2^62, 2^62 + 12345] has 2^63 + 12346 values: not a power of two, and
+  // about half of all words fall below the rejection threshold.
+  constexpr std::int64_t kQuarter = std::int64_t{1} << 62;
+  const std::pair<std::int64_t, std::int64_t> ranges[] = {
+      {7, 7}, {0, 3}, {-10, 1000}, {kMin, kMax}, {-kQuarter, kQuarter + 12345}};
+  for (const auto& [lo, hi] : ranges) {
+    SCOPED_TRACE(testing::Message() << "[" << lo << ", " << hi << "]");
+    SplitRng ours(47);
+    CountingMt oracle{std::mt19937_64(SplitRng::engine_seed(47))};
+    expect_same_draws<std::int64_t>(
+        [&] { return ours.uniform_int(lo, hi); },
+        [&] { return std::uniform_int_distribution<std::int64_t>(lo, hi)(oracle); });
+    EXPECT_EQ(ours.next_u64(), oracle());
+    if (lo == -kQuarter) {
+      EXPECT_GT(oracle.words, std::uint64_t{kDiffDraws} * 3 / 2) << "rejection loop never ran";
+    }
+  }
+}
+#endif  // defined(__GLIBCXX__)
 
 }  // namespace
 }  // namespace l3
