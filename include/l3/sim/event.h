@@ -1,8 +1,7 @@
 // Building blocks of the allocation-free event core: `EventFn`, a move-only
 // callable with small-buffer optimization sized for the closures the mesh
 // hot path actually schedules (proxy hops, WAN transits, client arrivals),
-// and `EventQueue`, a tiered pending-event queue whose front is an
-// explicit 4-ary min-heap ordered by (time, seq).
+// and `EventQueue`, a flat 4-ary min-heap of 16-byte (time, seq) keys.
 //
 // Why not std::function + std::priority_queue:
 //   * std::function heap-allocates for captures beyond ~2 pointers; every
@@ -12,20 +11,26 @@
 //     oversized callables.
 //   * priority_queue::top() returns a const reference, forcing a const_cast
 //     to move the callable out before pop(). EventQueue::pop_min() moves the
-//     root out safely. And a monolithic heap pays a full-depth, random-
-//     access sift-down per pop once the pending set outgrows the cache;
-//     the tiered queue keeps its heap small and does the rest of its
-//     bookkeeping as sequential sorts and merges.
+//     root out safely. And a priority_queue<Event> sifts whole events with
+//     a comparator that branches on time, then seq; EventQueue sifts single
+//     integer keys, four children to a cache line, and picks the smallest
+//     child without a per-child branch.
+//
+// Why not a tiered (lazy) queue: the pending set is small. On the ledger
+// workloads the heap peaks at 39 (hotel) to 308 (mega) entries, at most
+// 5 KiB, so every sift already runs in L1. A sorted run and a staging
+// buffer behind the heap would only add a horizon compare per push and a
+// refill check per pop (DESIGN.md §8 has the measurements).
 #pragma once
 
 #include "l3/common/assert.h"
 #include "l3/common/function.h"
+#include "l3/common/order_key.h"
 #include "l3/common/time.h"
 
-#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -39,71 +44,43 @@ namespace l3::sim {
 /// still schedules inline.
 using EventFn = common::SmallFn<void(), 48>;
 
-/// One queued event. `seq` breaks timestamp ties FIFO, which is what makes
+/// One popped event. `seq` breaks timestamp ties FIFO, which is what makes
 /// equal-time events fire in scheduling order (the determinism contract).
 struct Event {
   SimTime time = 0.0;
   std::uint64_t seq = 0;
   EventFn fn;
-
-  /// Strict weak ordering: earlier time first, then lower seq.
-  friend bool earlier(const Event& a, const Event& b) {
-    if (a.time != b.time) return a.time < b.time;
-    return a.seq < b.seq;
-  }
 };
 
-/// Tiered pending-event queue: a small 4-ary min-heap front backed by a
-/// sorted run and an unsorted staging buffer (a lazy queue in the spirit of
-/// Ronngren & Ayani).
+/// Pending-event queue: one flat 4-ary min-heap of 128-bit keys.
 ///
-/// The heap holds exactly the events ordered before the horizon key, so it
-/// stays a few thousand entries deep and its sifts run in L1/L2 regardless
-/// of how many events are pending overall. Far-future pushes append to `staging_`
-/// (O(1), sequential); when the heap drains, the next batch is bulk-loaded
-/// from the sorted `run_` (an ascending append is already a valid heap, so
-/// the load is sift-free) and `staging_` is partitioned against the new
-/// horizon. Staging is sorted and merged into the run only when it grows
-/// large, so every entry is sorted once and copied O(1) times amortized —
-/// sequential work instead of the full-depth random-access sift-down a
-/// monolithic heap pays per pop once the pending set outgrows the cache.
+/// A key's high word is order_key(time), its low word `seq << 24 | slot`,
+/// so one unsigned compare orders entries by (time, seq) — sequence
+/// numbers need not arrive in order (cross-shard deliveries carry a
+/// shard-count-invariant seq, see Simulator::schedule_delivered) — and
+/// the slot rides along for free. Any non-NaN time orders as operator<
+/// does and pops back exactly as pushed, except that -0.0 is keyed, and
+/// returned, as the same instant +0.0.
 ///
-/// Heap entries are 16 bytes — the timestamp plus the sequence number and
-/// slot index packed into one u64 — so the four children of a node share a
-/// single cache line. The EventFns sit in a chunked slot pool on the side,
-/// their indices recycled through a free list; callables never move between
-/// tiers, and are moved exactly once in their queue lifetime (in at push —
-/// dispatch_min() invokes them in place; only pop_min() moves them out).
-/// Steady state runs allocation-free: pool and buffers high-watermark at
-/// the maximum number of concurrently pending events.
-///
-/// Determinism: the pop order is exactly ascending (time, seq). Within the
-/// heap that is the sift order; across tiers it follows from the invariant
-/// that the heap holds exactly the pending entries ordered strictly before
-/// the (horizon_, horizon_seq_slot_) key and everything outside orders at
-/// or after it — the run is sorted and staging is sorted on every flush.
-/// The horizon is a full (time, seq) key rather than a bare timestamp so
-/// the ordering holds for ARBITRARY interleavings of sequence numbers, not
-/// just monotonically increasing ones: cross-shard mailbox commits push
-/// "delivered" events whose seq encodes a shard-count-invariant
-/// (origin cluster, origin sequence) key and therefore arrive out of seq
-/// order at equal timestamps (see Simulator::schedule_delivered).
+/// The EventFns sit in a chunked slot pool on the side, their indices
+/// recycled through a free list; a callable is moved exactly once in its
+/// queue lifetime (in at push — dispatch_min() invokes it in place; only
+/// pop_min() moves it out). Steady state runs allocation-free: pool and
+/// heap high-watermark at the maximum number of concurrently pending
+/// events.
 class EventQueue {
  public:
-  bool empty() const noexcept { return size() == 0; }
-  std::size_t size() const noexcept {
-    return entries_.size() + (run_.size() - run_head_) + staging_.size();
-  }
+  bool empty() const noexcept { return heap_.empty(); }
+  std::size_t size() const noexcept { return heap_.size(); }
 
-  /// Timestamp of the earliest event; undefined when empty. May promote a
-  /// batch of events into the heap front, hence non-const.
-  SimTime min_time() {
+  /// Timestamp of the earliest event; undefined when empty.
+  SimTime min_time() const {
     L3_EXPECTS(!empty());
-    if (entries_.empty()) refill();
-    return entries_.front().time;
+    return time_of(heap_.front());
   }
 
   void push(SimTime time, std::uint64_t seq, EventFn fn) {
+    L3_EXPECTS(!std::isnan(time));
     L3_EXPECTS(seq <= kMaxSeq);
     std::uint32_t slot;
     if (free_slots_.empty()) {
@@ -118,14 +95,9 @@ class EventQueue {
       free_slots_.pop_back();
     }
     slot_ref(slot) = std::move(fn);
-    const Entry entry{time, (seq << kSlotBits) | slot};
-    if (before_horizon(entry)) {
-      entries_.push_back(entry);
-      sift_up(entries_.size() - 1);
-    } else {
-      staging_.push_back(entry);
-      staging_min_time_ = std::min(staging_min_time_, time);
-    }
+    const Key key = (Key{time_key(time)} << 64) | (seq << kSlotBits) | slot;
+    heap_.push_back(key);
+    sift_up(key);
   }
 
   void push(Event ev) { push(ev.time, ev.seq, std::move(ev.fn)); }
@@ -134,20 +106,10 @@ class EventQueue {
   /// copy of the callable.
   Event pop_min() {
     L3_EXPECTS(!empty());
-    if (entries_.empty()) refill();
-    const Entry top = entries_.front();
-    const std::uint32_t slot =
-        static_cast<std::uint32_t>(top.seq_slot & kSlotMask);
-#if defined(__GNUC__)
-    // The slot pool is randomly accessed; start the load now so it overlaps
-    // with the sift below instead of stalling the move-out.
-    __builtin_prefetch(&slot_ref(slot));
-#endif
-    entries_.front() = entries_.back();
-    entries_.pop_back();
-    if (!entries_.empty()) sift_down(0);
+    const Key top = take_min();
+    const std::uint32_t slot = slot_of(top);
     free_slots_.push_back(slot);
-    return Event{top.time, top.seq_slot >> kSlotBits,
+    return Event{time_of(top), static_cast<std::uint64_t>(top) >> kSlotBits,
                  std::move(slot_ref(slot))};
   }
 
@@ -161,20 +123,10 @@ class EventQueue {
   template <typename Sink>
   void dispatch_min(Sink&& sink) {
     L3_EXPECTS(!empty());
-    if (entries_.empty()) refill();
-    const Entry top = entries_.front();
-    const std::uint32_t slot =
-        static_cast<std::uint32_t>(top.seq_slot & kSlotMask);
-    EventFn& fn = slot_ref(slot);
-#if defined(__GNUC__)
-    __builtin_prefetch(&fn);
-#endif
-    entries_.front() = entries_.back();
-    entries_.pop_back();
-    if (!entries_.empty()) sift_down(0);
-    sink(top.time, fn);
-    fn.reset();
-    free_slots_.push_back(slot);
+    run_top(take_min(), [&sink](SimTime t, EventFn& fn) {
+      sink(t, fn);
+      return true;
+    });
   }
 
   /// Drains up to `max_n` events with time <= `end`, invoking
@@ -188,200 +140,117 @@ class EventQueue {
   /// per batch instead of per event. Returns the number dispatched.
   template <typename Sink>
   std::size_t dispatch_batch(SimTime end, std::size_t max_n, Sink&& sink) {
+    const std::uint64_t end_key = time_key(end);
     std::size_t n = 0;
-    while (n < max_n) {
-      if (entries_.empty()) {
-        if (empty()) break;
-        refill();
-      }
-      const Entry top = entries_.front();
-      if (top.time > end) break;
-      const std::uint32_t slot =
-          static_cast<std::uint32_t>(top.seq_slot & kSlotMask);
-      EventFn& fn = slot_ref(slot);
-#if defined(__GNUC__)
-      __builtin_prefetch(&fn);
-#endif
-      entries_.front() = entries_.back();
-      entries_.pop_back();
-      if (!entries_.empty()) sift_down(0);
-      const bool keep_going = sink(top.time, fn);
-      fn.reset();
-      free_slots_.push_back(slot);
+    while (n < max_n && !heap_.empty() &&
+           static_cast<std::uint64_t>(heap_.front() >> 64) <= end_key) {
       ++n;
-      if (!keep_going) break;
+      if (!run_top(take_min(), sink)) break;
     }
     return n;
   }
 
   void clear() noexcept {
-    entries_.clear();
-    run_.clear();
-    run_head_ = 0;
-    staging_.clear();
-    staging_min_time_ = kEmptyStagingMin;
+    heap_.clear();
     chunks_.clear();
     slot_count_ = 0;
     free_slots_.clear();
-    horizon_ = kInitialHorizon;
-    horizon_seq_slot_ = 0;
   }
 
  private:
-  // Sequence number and slot index packed into one word, seq in the high
-  // bits: sequence numbers are unique, so comparing the packed word orders
-  // equal-time entries FIFO exactly as comparing seq alone would. The
-  // 40/24 split allows ~1.1e12 total events and ~16.7M concurrently
+  __extension__ typedef unsigned __int128 Key;
+  static_assert(sizeof(Key) == 16);
+
+  // Sequence number and slot index share the key's low word, seq in the
+  // high bits: sequence numbers are unique, so comparing the packed word
+  // orders equal-time entries FIFO exactly as comparing seq alone would.
+  // The 40/24 split allows ~1.1e12 total events and ~16.7M concurrently
   // pending — both guarded by preconditions in push().
   static constexpr unsigned kSlotBits = 24;
   static constexpr std::uint64_t kSlotMask = (1ull << kSlotBits) - 1;
   static constexpr std::uint64_t kMaxSeq = (~0ull) >> kSlotBits;
-
-  /// Events promoted into the heap per refill: deep enough to amortize the
-  /// staging scan, shallow enough that the heap (16 KiB of entries) sifts
-  /// entirely in L1.
-  static constexpr std::size_t kRefillBatch = 1024;
-  /// Staging is merged into the run once it could no longer be rescanned
-  /// cheaply relative to the run it shadows.
-  static constexpr std::size_t kStagingFlushMin = 2 * kRefillBatch;
-  /// All initial pushes stage until the first pop establishes a horizon.
-  static constexpr SimTime kInitialHorizon =
-      -std::numeric_limits<SimTime>::infinity();
-  static constexpr SimTime kEmptyStagingMin =
-      std::numeric_limits<SimTime>::infinity();
-
-  struct Entry {
-    SimTime time;
-    std::uint64_t seq_slot;
-  };
-  static_assert(sizeof(Entry) == 16);
-
-  static bool earlier(const Entry& a, const Entry& b) noexcept {
-    if (a.time != b.time) return a.time < b.time;
-    return a.seq_slot < b.seq_slot;
-  }
-
-  /// Whether `e` orders strictly before the horizon key, i.e. belongs in
-  /// the heap. At equal timestamps the seq decides, so a low-seq entry
-  /// pushed while its timestamp equals the horizon still overtakes the
-  /// staged/run entries it must precede.
-  bool before_horizon(const Entry& e) const noexcept {
-    if (e.time != horizon_) return e.time < horizon_;
-    return e.seq_slot < horizon_seq_slot_;
-  }
-
-  std::size_t run_remaining() const noexcept {
-    return run_.size() - run_head_;
-  }
-
-  /// Sorts staging and merges it into the run (consumed prefix compacted
-  /// away first). Every entry is sorted exactly once on its way through.
-  void flush_staging() {
-    if (staging_.empty()) return;
-    run_.erase(run_.begin(),
-               run_.begin() + static_cast<std::ptrdiff_t>(run_head_));
-    run_head_ = 0;
-    std::sort(staging_.begin(), staging_.end(), &EventQueue::earlier);
-    const auto mid = run_.size();
-    run_.insert(run_.end(), staging_.begin(), staging_.end());
-    std::inplace_merge(run_.begin(),
-                       run_.begin() + static_cast<std::ptrdiff_t>(mid),
-                       run_.end(), &EventQueue::earlier);
-    staging_.clear();
-    staging_min_time_ = kEmptyStagingMin;
-  }
-
-  /// Heap empty but events pending elsewhere: advance the horizon and bulk-
-  /// load the next batch from the run, then pull in any staged events the
-  /// new horizon now covers.
-  void refill() {
-    if (run_remaining() <= kRefillBatch ||
-        (staging_.size() >= kStagingFlushMin &&
-         staging_.size() * 4 >= run_remaining())) {
-      flush_staging();
-    }
-    if (run_head_ >= kRefillBatch * 8 && run_head_ * 2 >= run_.size()) {
-      run_.erase(run_.begin(),
-                 run_.begin() + static_cast<std::ptrdiff_t>(run_head_));
-      run_head_ = 0;
-    }
-    const std::size_t take_end =
-        std::min(run_head_ + kRefillBatch, run_.size());
-    L3_ASSERT(take_end > run_head_);
-    // Ascending appends already satisfy the heap property — no sifts.
-    entries_.assign(run_.begin() + static_cast<std::ptrdiff_t>(run_head_),
-                    run_.begin() + static_cast<std::ptrdiff_t>(take_end));
-#if defined(__GNUC__)
-    // The batch's callables were pushed long ago and their slots have gone
-    // cold; touching all of them here lets the misses overlap each other
-    // instead of stalling one pop at a time over the coming epoch.
-    for (const Entry& e : entries_) {
-      __builtin_prefetch(
-          &slot_ref(static_cast<std::uint32_t>(e.seq_slot & kSlotMask)), 0, 2);
-    }
-#endif
-    horizon_ = run_[take_end - 1].time;
-    horizon_seq_slot_ = run_[take_end - 1].seq_slot;
-    run_head_ = take_end;
-    if (run_head_ == run_.size()) {
-      run_.clear();
-      run_head_ = 0;
-    }
-    // Staged events the horizon has caught up with belong in the heap now.
-    // Staged times usually sit well past the horizon (they were too far out
-    // for the previous epoch too), so the tracked minimum lets most refills
-    // skip the scan outright.
-    if (staging_min_time_ <= horizon_) {
-      std::size_t kept = 0;
-      SimTime new_min = kEmptyStagingMin;
-      for (const Entry& e : staging_) {
-        if (before_horizon(e)) {
-          entries_.push_back(e);
-          sift_up(entries_.size() - 1);
-        } else {
-          staging_[kept++] = e;
-          new_min = std::min(new_min, e.time);
-        }
-      }
-      staging_.resize(kept);
-      staging_min_time_ = new_min;
-    }
-  }
-
   static constexpr std::size_t kArity = 4;
 
-  void sift_up(std::size_t i) {
-    const Entry moving = entries_[i];
+  /// The high key word. Adding +0.0 turns -0.0 into +0.0, so the two
+  /// zeros — equal under operator< — get one key and keep FIFO order.
+  static std::uint64_t time_key(SimTime t) noexcept {
+    return order_key(t + 0.0);
+  }
+  static SimTime time_of(Key k) noexcept {
+    return key_to_double(static_cast<std::uint64_t>(k >> 64));
+  }
+  static std::uint32_t slot_of(Key k) noexcept {
+    return static_cast<std::uint32_t>(static_cast<std::uint64_t>(k) &
+                                      kSlotMask);
+  }
+
+  /// Unlinks the root and returns it, starting the load of its slot first
+  /// so the randomly accessed pool overlaps with the sift.
+  Key take_min() {
+    const Key top = heap_.front();
+#if defined(__GNUC__)
+    __builtin_prefetch(&slot_ref(slot_of(top)));
+#endif
+    const Key last = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) sift_down(last);
+    return top;
+  }
+
+  /// Invokes `sink` on the unlinked `top`'s callable in place, then
+  /// reclaims its slot. Returns the sink's result.
+  template <typename Sink>
+  bool run_top(Key top, Sink&& sink) {
+    const std::uint32_t slot = slot_of(top);
+    EventFn& fn = slot_ref(slot);
+    const bool keep_going = sink(time_of(top), fn);
+    fn.reset();
+    free_slots_.push_back(slot);
+    return keep_going;
+  }
+
+  /// Moves `moving`, just appended at the back, up to its place.
+  void sift_up(Key moving) noexcept {
+    Key* const h = heap_.data();
+    std::size_t i = heap_.size() - 1;
     while (i > 0) {
       const std::size_t parent = (i - 1) / kArity;
-      if (!earlier(moving, entries_[parent])) break;
-      entries_[i] = entries_[parent];
+      if (!(moving < h[parent])) break;
+      h[i] = h[parent];
       i = parent;
     }
-    entries_[i] = moving;
+    h[i] = moving;
   }
 
-  void sift_down(std::size_t i) {
-    const std::size_t n = entries_.size();
-    const Entry moving = entries_[i];
+  /// Fills the root hole with `moving`, sifting it down to its place.
+  void sift_down(Key moving) noexcept {
+    Key* const h = heap_.data();
+    const std::size_t n = heap_.size();
+    std::size_t i = 0;
     for (;;) {
-      const std::size_t first_child = i * kArity + 1;
-      if (first_child >= n) break;
-      std::size_t best = first_child;
-      const std::size_t last_child = std::min(first_child + kArity, n);
-      for (std::size_t c = first_child + 1; c < last_child; ++c) {
-        if (earlier(entries_[c], entries_[best])) best = c;
+      const std::size_t c = i * kArity + 1;
+      std::size_t best;
+      if (c + kArity <= n) {
+        // All four children exist: two pairwise selects and a final one,
+        // no per-child branch.
+        const std::size_t a = c + (h[c + 1] < h[c]);
+        const std::size_t b = c + 2 + (h[c + 3] < h[c + 2]);
+        best = h[b] < h[a] ? b : a;
+      } else if (c < n) {
+        best = c;
+        for (std::size_t k = c + 1; k < n; ++k) {
+          if (h[k] < h[best]) best = k;
+        }
+      } else {
+        break;
       }
-      if (!earlier(entries_[best], moving)) break;
-      entries_[i] = entries_[best];
+      if (!(h[best] < moving)) break;
+      h[i] = h[best];
       i = best;
     }
-    entries_[i] = moving;
+    h[i] = moving;
   }
 
-  std::vector<Entry> entries_;        // the 4-ary heap front (before horizon key)
-  std::vector<Entry> run_;            // sorted ascending; consumed from run_head_
-  std::size_t run_head_ = 0;
   // Slot pool for the EventFns, stored in fixed-size chunks so a slot's
   // address never changes once allocated. That stability is what lets
   // dispatch_min() hand out a reference into the pool while the callable
@@ -394,16 +263,10 @@ class EventQueue {
     return chunks_[slot >> kChunkShift][slot & (kChunkSize - 1)];
   }
 
-  std::vector<Entry> staging_;        // unsorted pushes at/after the horizon key
-  SimTime staging_min_time_ = kEmptyStagingMin;
+  std::vector<Key> heap_;
   std::vector<std::unique_ptr<EventFn[]>> chunks_;
   std::uint32_t slot_count_ = 0;
   std::vector<std::uint32_t> free_slots_;
-  SimTime horizon_ = kInitialHorizon;
-  /// seq_slot of the last entry loaded into the heap: together with
-  /// horizon_ it forms the full (time, seq) key that before_horizon()
-  /// compares against, so equal-time pushes land on the correct side.
-  std::uint64_t horizon_seq_slot_ = 0;
 };
 
 }  // namespace l3::sim

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Checks that library code uses no <random> engine or distribution, builds
+# Checks that library code uses no <random> engine or distribution and that
+# README.md's bench/sim_core table matches BENCH_sim_core.json, builds
 # the test suite under AddressSanitizer and UndefinedBehaviorSanitizer
 # and runs ctest for each, runs the concurrency-sensitive tests (experiment
 # runner, simulator, logging, obs shard merge, shard engine + mailboxes)
@@ -8,7 +9,8 @@
 # graph, --profile, and --no-batch), a --proxy-cost=0 zero-cost identity diff,
 # shard-invariance smoke diffs (--shards=2/4 vs the serial
 # run, plain and chaos), an L3_OBS=OFF byte-identical golden, a
-# Release-mode bench/sim_core smoke run (writes BENCH_sim_core.json), the
+# Release-mode bench/sim_core smoke run (writes BENCH_sim_core.json and
+# re-renders the README table from it), the
 # flight-recorder overhead gate, the batched pick-path gate (batched
 # >= 1.5x scalar picks/s), the sharded-mega throughput gate, the serial-mega
 # columnar control-plane gate (shards=1 req/s >= 2/3 of recorded baseline),
@@ -39,6 +41,13 @@ if grep -rnE '#include <random>|std::[a-z_]*_distribution|generate_canonical|mt1
   exit 1
 fi
 echo "    no <random> engines or distributions in library code"
+
+# README bench-table gate: README.md's bench/sim_core table is rendered
+# from the committed BENCH_sim_core.json and must match it. The sim_core
+# smoke below refreshes both together.
+echo "==> README bench table in sync with BENCH_sim_core.json"
+python3 scripts/render_bench_table.py --check
+echo "    README.md table matches BENCH_sim_core.json"
 
 for preset in "${presets[@]}"; do
   echo "==> [$preset] configure"
@@ -179,7 +188,8 @@ fi
 
 # Hot-path perf smoke: build the sim_core bench in Release and refresh
 # BENCH_sim_core.json so regressions in events/s or TSDB throughput show
-# up in the diff. --fast keeps it to a few seconds.
+# up in the diff, then re-render README.md's table from the fresh JSON so
+# the two stay in sync. --fast keeps it to a few seconds.
 echo "==> [release-bench] sim_core perf smoke"
 cmake --preset release-bench >/dev/null
 cmake --build --preset release-bench -j "$(nproc)" --target sim_core
@@ -194,6 +204,7 @@ echo "==> [release-bench] obs recorder overhead gate"
 baseline=$(git show HEAD:BENCH_sim_core.json 2>/dev/null \
   | awk -F': ' '/"weighted_picks_per_sec"/ {gsub(/,/,"",$2); print $2}' || true)
 ./build-release/bench/sim_core --fast --out BENCH_sim_core.json
+python3 scripts/render_bench_table.py
 
 # request_path regression gate: weighted picks/s must stay within 30% of
 # the committed baseline (noise on a shared box is well under that; a

@@ -1,38 +1,17 @@
 #include "l3/common/stats.h"
 
 #include "l3/common/assert.h"
+#include "l3/common/order_key.h"
 
 #include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <vector>
 
 namespace l3 {
 namespace {
-
-/// Maps a double's IEEE-754 bits to an unsigned key whose order matches
-/// operator< on the doubles (NaNs excluded): negatives get all bits
-/// flipped, non-negatives just the sign bit.
-std::uint64_t order_key(double d) {
-  std::uint64_t b;
-  std::memcpy(&b, &d, sizeof(b));
-  const std::uint64_t mask =
-      static_cast<std::uint64_t>(static_cast<std::int64_t>(b) >> 63) |
-      0x8000000000000000ull;
-  return b ^ mask;
-}
-
-double key_to_double(std::uint64_t k) {
-  const std::uint64_t b = (k & 0x8000000000000000ull) != 0
-                              ? k ^ 0x8000000000000000ull
-                              : ~k;
-  double d;
-  std::memcpy(&d, &b, sizeof(d));
-  return d;
-}
 
 /// The sample's order keys, radix-sorted ascending. Individual order
 /// statistics convert back through key_to_double on demand — quantile
@@ -124,6 +103,23 @@ double percentile_sorted(std::span<const double> sorted, double q) {
   const auto hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = pos - static_cast<double>(lo);
   return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+}
+
+double percentile_select(std::span<double> values, double q) {
+  L3_EXPECTS(q >= 0.0 && q <= 1.0);
+  if (values.empty()) return 0.0;
+  if (values.size() == 1) return values.front();
+  // percentile_sorted() interpolates between the lo-th and (lo+1)-th order
+  // statistics. nth_element places the lo-th and leaves only values >= it
+  // after it, so the (lo+1)-th is the smallest of that tail.
+  const double pos = q * static_cast<double>(values.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const double frac = pos - static_cast<double>(lo);
+  const auto nth = values.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(values.begin(), nth, values.end());
+  const double hi =
+      lo + 1 < values.size() ? *std::min_element(nth + 1, values.end()) : *nth;
+  return *nth * (1.0 - frac) + hi * frac;
 }
 
 double mean(std::span<const double> values) {

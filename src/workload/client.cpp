@@ -205,12 +205,11 @@ std::vector<TimelineBucket> aggregate_timeline(
     out[i].count = counts[i];
     out[i].rps = static_cast<double>(counts[i]) / bucket;
     if (counts[i] > 0) {
-      // Sort each bucket once and read both quantiles off the sorted run —
-      // percentile() would copy + sort per quantile. Same sort, same
-      // interpolation, bit-identical values (the golden traces hash these).
-      std::sort(latencies[i].begin(), latencies[i].end());
-      out[i].p50 = percentile_sorted(latencies[i], 0.50);
-      out[i].p99 = percentile_sorted(latencies[i], 0.99);
+      // Select the two order statistics each quantile interpolates instead
+      // of sorting the bucket: same values, same interpolation, so the
+      // result is bit-identical (the golden traces hash these).
+      out[i].p50 = percentile_select(latencies[i], 0.50);
+      out[i].p99 = percentile_select(latencies[i], 0.99);
       out[i].success_rate =
           static_cast<double>(successes[i]) / static_cast<double>(counts[i]);
     }
@@ -223,19 +222,24 @@ ClientSummary summarize_records(std::span<const RequestRecord> records) {
   s.count = records.size();
   if (records.empty()) return s;
   std::vector<double> all;
-  std::vector<double> ok;
   all.reserve(records.size());
-  ok.reserve(records.size());
   std::size_t successes = 0;
   for (const auto& r : records) {
     all.push_back(r.latency);
-    if (r.success) {
-      ok.push_back(r.latency);
-      ++successes;
-    }
+    if (r.success) ++successes;
   }
   s.latency = summarize(all);
-  s.success_latency = summarize(ok);
+  if (successes == records.size()) {
+    // Every request succeeded: the success sample is `all` again.
+    s.success_latency = s.latency;
+  } else {
+    std::vector<double> ok;
+    ok.reserve(successes);
+    for (const auto& r : records) {
+      if (r.success) ok.push_back(r.latency);
+    }
+    s.success_latency = summarize(ok);
+  }
   s.success_rate =
       static_cast<double>(successes) / static_cast<double>(records.size());
   return s;

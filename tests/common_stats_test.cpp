@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <sstream>
 #include <vector>
@@ -106,6 +107,40 @@ TEST(Percentile, LargeSampleMatchesComparisonSort) {
   EXPECT_DOUBLE_EQ(s.p50, percentile_sorted(sorted, 0.50));
   EXPECT_DOUBLE_EQ(s.p999, percentile_sorted(sorted, 0.999));
   EXPECT_DOUBLE_EQ(s.max, sorted.back());
+}
+
+TEST(Percentile, SelectMatchesSortedBitForBit) {
+  // The selection helper must reproduce percentile_sorted() exactly — the
+  // timeline p50/p99 it computes are hashed by the golden traces. Draws
+  // from a small value set so duplicates straddle the selected positions,
+  // and reuses one span across quantiles as aggregate_timeline does.
+  std::uint64_t state = 0x2545f4914f6cdd1dull;
+  auto next = [&state] {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  };
+  for (const std::size_t n : {1u, 2u, 3u, 2049u}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<double> values(n);
+      for (double& v : values) {
+        v = static_cast<double>(next() % 97) * 0.37 + 1e-3;
+      }
+      std::vector<double> sorted = values;
+      std::sort(sorted.begin(), sorted.end());
+      for (const double q : {0.0, 0.5, 0.99, 1.0}) {
+        const double expected = percentile_sorted(sorted, q);
+        const double got = percentile_select(values, q);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                  std::bit_cast<std::uint64_t>(expected))
+            << "n=" << n << " q=" << q << " got " << got << " expected "
+            << expected;
+      }
+    }
+  }
+  std::vector<double> empty;
+  EXPECT_EQ(percentile_select(empty, 0.5), 0.0);
 }
 
 TEST(Table, PrintsAlignedRows) {
