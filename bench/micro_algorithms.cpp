@@ -8,7 +8,6 @@
 #include "l3/lb/l3_policy.h"
 #include "l3/lb/rate_control.h"
 #include "l3/lb/weighting.h"
-#include "l3/mesh/pick_kernels.h"
 #include "l3/metrics/ewma.h"
 #include "l3/workload/scenarios.h"
 #include "l3/workload/trace_behavior.h"
@@ -135,52 +134,6 @@ void BM_ScenarioGeneration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ScenarioGeneration);
-
-/// Cumulative-weight search kernels head-to-head at the table sizes the
-/// runtime selector switches on (<=8 linear, <=32 multilane, else binary).
-/// Arg pair: (kernel, n). The draws are pre-generated so the loop times the
-/// search alone.
-void BM_WeightedPickKernel(benchmark::State& state) {
-  const auto kernel =
-      static_cast<mesh::pick::WeightedKernel>(state.range(0));
-  const auto n = static_cast<std::size_t>(state.range(1));
-  std::vector<std::uint64_t> cum(n);
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    total += 100 + 37 * (i % 11);
-    cum[i] = total;
-  }
-  SplitRng rng(7);
-  constexpr std::size_t kDraws = 1024;
-  std::vector<std::uint64_t> draws(kDraws);
-  for (auto& d : draws) {
-    d = static_cast<std::uint64_t>(rng.uniform() *
-                                   static_cast<double>(total));
-  }
-  std::vector<std::uint32_t> out(kDraws);
-  for (auto _ : state) {
-    mesh::pick::search_batch(kernel, cum.data(), n, draws.data(), kDraws,
-                             out.data());
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kDraws));
-}
-BENCHMARK(BM_WeightedPickKernel)
-    ->ArgsProduct({{0, 1, 2}, {3, 8, 32, 128}});
-
-/// The runtime selector itself (override unset): a branch ladder over n,
-/// then the dispatch switch — this is the per-batch cost pick_weighted pays.
-void BM_KernelSelection(benchmark::State& state) {
-  const std::size_t sizes[] = {3, 8, 17, 32, 64, 200};
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const auto k = mesh::pick::select_weighted_kernel(sizes[i]);
-    benchmark::DoNotOptimize(k);
-    i = i + 1 == std::size(sizes) ? 0 : i + 1;
-  }
-}
-BENCHMARK(BM_KernelSelection);
 
 }  // namespace
 

@@ -221,13 +221,7 @@ struct RequestPathResult {
   int picks = 0;
   double weighted_picks_per_sec = 0.0;
   double p2c_picks_per_sec = 0.0;
-  /// pick_backend_batch() throughput on the same proxies — the batch
-  /// kernels with per-pick plumbing (scope, counter, state refresh)
-  /// amortised over the whole block. check.sh gates batched >= 1.5x scalar.
-  double batched_weighted_picks_per_sec = 0.0;
-  double batched_p2c_picks_per_sec = 0.0;
-  double batch_pick_speedup = 0.0;  // batched weighted / scalar weighted
-  double requests_per_sec = 0.0;    // end-to-end, from the scenario bench
+  double requests_per_sec = 0.0;  // end-to-end, from the scenario bench
 };
 
 /// Backend-selection throughput on a realistic 3-backend proxy: weighted
@@ -261,40 +255,6 @@ double bench_picks(l3::mesh::RoutingMode mode, int picks) {
   return rate;
 }
 
-/// Same proxy setup as bench_picks, driven through pick_backend_batch()
-/// in blocks of 64 (the default dispatch batch).
-double bench_picks_batched(l3::mesh::RoutingMode mode, int picks) {
-  l3::sim::Simulator sim;
-  l3::mesh::MeshConfig config;
-  config.local_delay = 0.0;
-  config.local_jitter_frac = 0.0;
-  config.health_probe_interval = 0.0;
-  config.routing = mode;
-  l3::mesh::Mesh mesh(sim, l3::SplitRng(42), config);
-  const auto c0 = mesh.add_cluster("c0");
-  const auto c1 = mesh.add_cluster("c1");
-  const auto c2 = mesh.add_cluster("c2");
-  for (auto c : {c0, c1, c2}) {
-    mesh.deploy("svc", c, {},
-                std::make_unique<l3::mesh::FixedLatencyBehavior>(0.010,
-                                                                 0.030));
-  }
-  l3::mesh::Proxy& proxy = mesh.proxy(c0, "svc");
-  mesh.find_split(c0, "svc")
-      ->set_weights(std::vector<std::uint64_t>{6000, 3000, 1000});
-  constexpr int kBlock = 64;
-  std::uint32_t block[kBlock];
-  std::uint64_t sink = 0;
-  const auto start = Clock::now();
-  for (int i = 0; i + kBlock <= picks; i += kBlock) {
-    proxy.pick_backend_batch(block, kBlock);
-    sink += block[0] + block[kBlock - 1];
-  }
-  const double rate = static_cast<double>(picks) / seconds_since(start);
-  if (sink == 1u) std::cerr << "";  // keep the picks observable
-  return rate;
-}
-
 RequestPathResult bench_request_path(int picks, int reps) {
   RequestPathResult result;
   result.picks = picks;
@@ -306,19 +266,7 @@ RequestPathResult bench_request_path(int picks, int reps) {
     }
     const double p2c = bench_picks(l3::mesh::RoutingMode::kPeakEwmaP2C, picks);
     if (p2c > result.p2c_picks_per_sec) result.p2c_picks_per_sec = p2c;
-    const double batched_weighted =
-        bench_picks_batched(l3::mesh::RoutingMode::kWeighted, picks);
-    if (batched_weighted > result.batched_weighted_picks_per_sec) {
-      result.batched_weighted_picks_per_sec = batched_weighted;
-    }
-    const double batched_p2c =
-        bench_picks_batched(l3::mesh::RoutingMode::kPeakEwmaP2C, picks);
-    if (batched_p2c > result.batched_p2c_picks_per_sec) {
-      result.batched_p2c_picks_per_sec = batched_p2c;
-    }
   }
-  result.batch_pick_speedup =
-      result.batched_weighted_picks_per_sec / result.weighted_picks_per_sec;
   return result;
 }
 
@@ -732,11 +680,6 @@ int main(int argc, char** argv) {
             << " M picks/s, p2c " << rp.p2c_picks_per_sec / 1e6
             << " M picks/s, end-to-end " << rp.requests_per_sec / 1e6
             << " M req/s\n";
-  std::cout << "batch picks  : weighted "
-            << rp.batched_weighted_picks_per_sec / 1e6 << " M picks/s, p2c "
-            << rp.batched_p2c_picks_per_sec / 1e6
-            << " M picks/s (batched/scalar " << rp.batch_pick_speedup
-            << "x)\n";
 
   const SweepResult sweep = bench_sweep(sweep_duration, sweep_reps);
   std::cout << "hardware     : " << sweep.hardware_jobs
@@ -828,11 +771,6 @@ int main(int argc, char** argv) {
        << "    \"weighted_picks_per_sec\": " << rp.weighted_picks_per_sec
        << ",\n"
        << "    \"p2c_picks_per_sec\": " << rp.p2c_picks_per_sec << ",\n"
-       << "    \"batched_weighted_picks_per_sec\": "
-       << rp.batched_weighted_picks_per_sec << ",\n"
-       << "    \"batched_p2c_picks_per_sec\": "
-       << rp.batched_p2c_picks_per_sec << ",\n"
-       << "    \"batch_pick_speedup\": " << rp.batch_pick_speedup << ",\n"
        << "    \"requests_per_sec\": " << rp.requests_per_sec << "\n"
        << "  },\n"
        << "  \"sweep\": {\n"

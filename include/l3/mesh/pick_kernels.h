@@ -1,23 +1,8 @@
-// Specialized cumulative-weight search kernels for the weighted picker.
-//
-// Every kernel computes the same function: the index of the FIRST entry of a
-// non-decreasing cumulative-weight table that exceeds `r` (an upper_bound).
-// Because they are exact-equivalent, the proxy can select one at runtime per
-// topology size without perturbing a single pick — the golden-trace and
-// chi-square suites run against each kernel to enforce that.
-//
-//  * kLinear     — short forward scan; fastest when the table fits in one or
-//                  two cache lines (the paper's 3-cluster topology).
-//  * kMultiLane  — branch-free rank computation: counts entries <= r in four
-//                  independent lanes per iteration. The comparisons carry no
-//                  loop-carried dependency, so the compiler vectorizes it
-//                  (SIMD compare + subtract); best for mid-size tables.
-//  * kBinary     — branchless binary search (conditional-move halving);
-//                  O(log n) probes for the largest tables the 64-bit
-//                  availability mask admits.
-//
-// Selection thresholds live in select_weighted_kernel(); tests force a
-// specific kernel through set_weighted_kernel_override().
+// Cumulative-weight search for the weighted picker: the index of the FIRST
+// entry of a non-decreasing cumulative-weight table that exceeds `r` (an
+// upper_bound). One branchless binary search serves every table size the
+// 64-bit availability mask admits; DESIGN.md §13 "Pick search" has the
+// measurements behind using one search for all of them.
 #pragma once
 
 #include <cstddef>
@@ -25,81 +10,12 @@
 
 namespace l3::mesh::pick {
 
-enum class WeightedKernel : std::uint8_t {
-  kLinear = 0,
-  kMultiLane = 1,
-  kBinary = 2,
-};
-
-inline constexpr std::size_t kWeightedKernelCount = 3;
-
-/// Stable display names, indexed by WeightedKernel (report JSON, --profile).
-inline const char* kernel_name(WeightedKernel k) {
-  switch (k) {
-    case WeightedKernel::kLinear: return "linear";
-    case WeightedKernel::kMultiLane: return "multilane";
-    case WeightedKernel::kBinary: return "binary";
-  }
-  return "unknown";
-}
-
-// Tables up to kLinearMax entries take the forward scan; larger tables up to
-// kMultiLaneMax take the vectorizable rank count; anything beyond (the mask
-// admits at most 64 backends) takes the branchless binary search.
-inline constexpr std::size_t kLinearMax = 8;
-inline constexpr std::size_t kMultiLaneMax = 32;
-
-/// Test-only override slot: -1 selects by size (production), otherwise the
-/// forced WeightedKernel value. A namespace-scope inline variable (not a
-/// function-local static) so reading it on the per-pick path is a plain
-/// load, no init-guard check.
-inline int g_weighted_kernel_override = -1;
-
-inline int weighted_kernel_override() { return g_weighted_kernel_override; }
-inline void set_weighted_kernel_override(int forced) {
-  g_weighted_kernel_override = forced;
-}
-
-inline WeightedKernel select_weighted_kernel(std::size_t n) {
-  const int forced = g_weighted_kernel_override;
-  if (forced >= 0) return static_cast<WeightedKernel>(forced);
-  if (n <= kLinearMax) return WeightedKernel::kLinear;
-  if (n <= kMultiLaneMax) return WeightedKernel::kMultiLane;
-  return WeightedKernel::kBinary;
-}
-
-/// First i with cum[i] > r, by forward scan. Requires such an i to exist
-/// (r < cum[n-1]), which the caller guarantees by clamping r below the total.
-inline std::size_t search_linear(const std::uint64_t* cum, std::size_t /*n*/,
-                                 std::uint64_t r) {
-  std::size_t i = 0;
-  while (cum[i] <= r) ++i;
-  return i;
-}
-
-/// First i with cum[i] > r == the number of entries <= r (the table is
-/// non-decreasing). Four independent comparisons per iteration, no
-/// loop-carried branch: auto-vectorizes to SIMD compare/accumulate.
-inline std::size_t search_multilane(const std::uint64_t* cum, std::size_t n,
-                                    std::uint64_t r) {
-  std::size_t rank = 0;
-  std::size_t i = 0;
-  const std::size_t lanes_end = n & ~std::size_t{3};
-  for (; i < lanes_end; i += 4) {
-    rank += static_cast<std::size_t>(cum[i] <= r) +
-            static_cast<std::size_t>(cum[i + 1] <= r) +
-            static_cast<std::size_t>(cum[i + 2] <= r) +
-            static_cast<std::size_t>(cum[i + 3] <= r);
-  }
-  for (; i < n; ++i) rank += static_cast<std::size_t>(cum[i] <= r);
-  return rank;
-}
-
-/// Branchless binary search: every halving step advances by a conditional
-/// move, never a taken/not-taken branch, so it does not pollute the branch
-/// predictor with data-dependent history.
-inline std::size_t search_binary(const std::uint64_t* cum, std::size_t n,
-                                 std::uint64_t r) {
+/// First i with cum[i] > r. Requires n >= 1 and r < cum[n-1], which the
+/// caller guarantees by clamping r below the total. Every halving step
+/// advances by a conditional move, never a taken/not-taken branch, so it
+/// does not pollute the branch predictor with data-dependent history.
+inline std::size_t search(const std::uint64_t* cum, std::size_t n,
+                          std::uint64_t r) {
   std::size_t pos = 0;
   std::size_t len = n;
   while (len > 1) {
@@ -108,41 +24,6 @@ inline std::size_t search_binary(const std::uint64_t* cum, std::size_t n,
     len -= half;
   }
   return pos;
-}
-
-inline std::size_t search(WeightedKernel k, const std::uint64_t* cum,
-                          std::size_t n, std::uint64_t r) {
-  switch (k) {
-    case WeightedKernel::kLinear: return search_linear(cum, n, r);
-    case WeightedKernel::kMultiLane: return search_multilane(cum, n, r);
-    case WeightedKernel::kBinary: return search_binary(cum, n, r);
-  }
-  return search_linear(cum, n, r);
-}
-
-/// Batch form: resolves `m` draws against one table load. The kernel switch
-/// is hoisted out of the loop, so each element runs the specialized body
-/// directly; results are identical to m scalar calls in order.
-inline void search_batch(WeightedKernel k, const std::uint64_t* cum,
-                         std::size_t n, const std::uint64_t* rs, std::size_t m,
-                         std::uint32_t* out) {
-  switch (k) {
-    case WeightedKernel::kLinear:
-      for (std::size_t j = 0; j < m; ++j) {
-        out[j] = static_cast<std::uint32_t>(search_linear(cum, n, rs[j]));
-      }
-      return;
-    case WeightedKernel::kMultiLane:
-      for (std::size_t j = 0; j < m; ++j) {
-        out[j] = static_cast<std::uint32_t>(search_multilane(cum, n, rs[j]));
-      }
-      return;
-    case WeightedKernel::kBinary:
-      for (std::size_t j = 0; j < m; ++j) {
-        out[j] = static_cast<std::uint32_t>(search_binary(cum, n, rs[j]));
-      }
-      return;
-  }
 }
 
 }  // namespace l3::mesh::pick

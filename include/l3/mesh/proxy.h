@@ -139,13 +139,6 @@ class Proxy {
   /// picker distribution tests.
   std::size_t pick_backend() { return pick(); }
 
-  /// Picks `m` backends with the same RNG draws and results as `m`
-  /// successive pick_backend() calls at the current sim time, but loads the
-  /// availability mask and picker table once and resolves the draws through
-  /// the batch search kernel. Exposed for the batch-path bench and the
-  /// batched-vs-scalar equivalence tests.
-  void pick_backend_batch(std::uint32_t* out, std::size_t m);
-
   /// Pooled call states currently in flight. A finished call's slot is
   /// recycled as soon as its deadline entry reaches the front of the
   /// timeout ring (usually immediately — entries finish roughly FIFO), so
@@ -240,12 +233,12 @@ class Proxy {
   //
   // Storage is radix-style bucketed: fixed 256-entry buckets filled at the
   // tail and drained at the head, with each bucket carrying its deadline
-  // bounds. Admission (single or batch) only ever touches the tail bucket
-  // and is O(1) amortized with NO copying — the old power-of-two ring
-  // unrolled every live entry on growth — and drained buckets recycle
-  // through a free list, so steady state allocates nothing. The per-bucket
-  // `last_deadline` bound lets the timer sweep classify a whole due bucket
-  // at once instead of comparing per entry.
+  // bounds. Admission only ever touches the tail bucket and is O(1)
+  // amortized with NO copying — the old power-of-two ring unrolled every
+  // live entry on growth — and drained buckets recycle through a free list,
+  // so steady state allocates nothing. The per-bucket `last_deadline` bound
+  // lets the timer sweep classify a whole due bucket at once instead of
+  // comparing per entry.
 
   /// One armed deadline: the request's call-state handle plus when it
   /// times out. Entries are pushed at send() in deadline order.
@@ -266,9 +259,6 @@ class Proxy {
     return timeout_buckets_.front()->slots[timeout_buckets_.front()->head];
   }
   void push_timeout(SimTime deadline, CallHandle handle);
-  /// Batch admission: appends `m` (deadline, handle) pairs in order; only
-  /// the tail bucket is touched per entry.
-  void push_timeout_batch(const TimeoutEntry* entries, std::size_t m);
   void pop_timeout();
   void arm_timeout_timer(SimTime deadline);
   /// The shared timer: settles finished front entries, times out due ones,
@@ -335,8 +325,6 @@ class Proxy {
   // is never 0 thanks to the all-true fallback).
   std::vector<std::uint32_t> p2c_scratch_;
   std::uint64_t p2c_mask_ = 0;
-
-  std::vector<std::uint64_t> batch_draws_;  ///< pick_backend_batch scratch
 
   // Bucketed deadline store (see the timeout-machinery comment above):
   // live buckets in FIFO order, drained buckets parked for reuse.

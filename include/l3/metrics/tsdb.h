@@ -10,8 +10,9 @@
 // queries do zero string hashing or comparison. Samples live in
 // power-of-two ring buffers (SampleRing); histogram bucket rows live in a
 // contiguous columnar slab (RowRing) so an append is a row memcpy, not a
-// per-sample vector allocation. The string-keyed API is kept as a thin
-// compatibility layer over the interned one.
+// per-sample vector allocation. Histogram appends take an interned id and
+// a bounds declaration (set_histogram_bounds) made once; the string-keyed
+// scalar append and queries are a thin layer over the interned API.
 //
 // Window folds are incremental: each series carries a WindowCursor caching
 // the [first, end) sample span of the last query as ABSOLUTE sequence
@@ -117,20 +118,6 @@ class TimeSeriesDb {
   /// last being the +Inf total). Bounds must have been declared first.
   void append_histogram(HistogramId id, SimTime t,
                         std::span<const double> cumulative_counts);
-
-  /// Compatibility form carrying bounds on every call (verified against the
-  /// stored ones, declaring them on first use).
-  void append_histogram(HistogramId id, SimTime t,
-                        const std::vector<double>& bounds,
-                        const std::vector<double>& cumulative_counts) {
-    set_histogram_bounds(id, bounds);
-    append_histogram(id, t, std::span<const double>(cumulative_counts));
-  }
-  void append_histogram(const std::string& key, SimTime t,
-                        const std::vector<double>& bounds,
-                        const std::vector<double>& cumulative_counts) {
-    append_histogram(histogram_series(key), t, bounds, cumulative_counts);
-  }
 
   // ---- Queries ----------------------------------------------------------
 

@@ -82,10 +82,6 @@ enum class CounterId : std::uint8_t {
   kMeshHandshakes,     ///< connections opened (mTLS handshake paid)
   kMeshPoolHits,       ///< checkouts served by a warm pooled connection
   kMeshConnExpired,    ///< idle connections pruned by idle_timeout
-  kPickKernelLinear,   ///< weighted picks served by the linear-scan kernel
-  kPickKernelMultiLane,///< weighted picks served by the multi-lane kernel
-  kPickKernelBinary,   ///< weighted picks served by the binary-search kernel
-  kPickKernelP2c,      ///< P2C picks (cached-candidate kernel)
   kTsdbSamples,        ///< scalar + histogram samples appended
   kScraperSeries,      ///< series copied registry -> TSDB
   kControllerTicks,    ///< control-loop ticks
@@ -221,11 +217,6 @@ struct ProfileBlock {
   std::array<std::uint64_t, kDomainCount> ring_recorded{};
   std::array<std::uint64_t, kDomainCount> ring_dropped{};
   std::array<std::uint64_t, kBatchBucketCount> batch_hist{};
-
-  /// The weighted-pick kernel that actually ran, by pick count: the name of
-  /// the dominant kPickKernel* counter, or "none" when no weighted pick
-  /// happened. Deterministic (pure function of the counts).
-  std::string_view weighted_kernel_name() const;
 
   bool empty() const { return cells == 0; }
   /// Number of subsystems with at least one recorded entry.
@@ -414,14 +405,6 @@ class ScopedTimer {
       l3_obs_shard->add(::l3::obs::CounterId::id, (n));          \
   } while (0)
 
-/// As L3_OBS_COUNT but with a runtime ::l3::obs::CounterId value — used
-/// where the counter is data-dependent (e.g. which pick kernel ran).
-#define L3_OBS_COUNT_DYN(id, n)                                  \
-  do {                                                           \
-    if (::l3::obs::Shard* l3_obs_shard = ::l3::obs::local_shard()) \
-      l3_obs_shard->add((id), (n));                              \
-  } while (0)
-
 #define L3_OBS_BATCH(events)                                     \
   do {                                                           \
     if (::l3::obs::Shard* l3_obs_shard = ::l3::obs::local_shard()) \
@@ -453,7 +436,6 @@ class ScopedTimer {
 #else  // !L3_OBS_ENABLED
 
 #define L3_OBS_COUNT(id, n) ((void)0)
-#define L3_OBS_COUNT_DYN(id, n) ((void)0)
 #define L3_OBS_BATCH(events) ((void)0)
 #define L3_OBS_GAUGE(id, value) ((void)0)
 #define L3_OBS_EVENT(domain, code, time, arg, value) ((void)0)

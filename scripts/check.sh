@@ -11,11 +11,10 @@
 # run, plain and chaos), an L3_OBS=OFF byte-identical golden, a
 # Release-mode bench/sim_core smoke run (writes BENCH_sim_core.json and
 # re-renders the README table from it), the
-# flight-recorder overhead gate, the batched pick-path gate (batched
-# >= 1.5x scalar picks/s), the sharded-mega throughput gate, the serial-mega
-# columnar control-plane gate (shards=1 req/s >= 2/3 of recorded baseline),
-# the control_plane section gate, the proxy_cost saturation gate, and a
-# per-kernel micro-bench smoke.
+# flight-recorder overhead gate, the request-path pick-throughput gate, the
+# sharded-mega throughput gate, the serial-mega columnar control-plane gate
+# (shards=1 req/s >= 2/3 of recorded baseline), the control_plane section
+# gate, and the proxy_cost saturation gate.
 # Intended as the pre-merge gate; any failure aborts immediately.
 #
 # Usage: scripts/check.sh [preset...]
@@ -223,20 +222,6 @@ else
   echo "    no committed request_path baseline yet; comparison skipped"
 fi
 
-# Batch-path gate: the batched pick kernels must beat the scalar loop by a
-# clear margin on the same proxies in the same process. The ratio is
-# clock-drift-immune (both sides run in one process back to back), so the
-# bar can be tight: < 1.5x means the batch path lost its fused table loads.
-awk -F': ' '/"batch_pick_speedup"/ {gsub(/,/,"",$2); speedup = $2}
-  END {
-    if (speedup == "") { print "FAIL: no batch_pick_speedup in BENCH_sim_core.json"; exit 1 }
-    if (speedup + 0.0 < 1.5) {
-      printf "FAIL: batched picks only %.3gx scalar (gate: 1.5x)\n", speedup
-      exit 1
-    }
-    printf "    batch path ok: batched picks %.3gx scalar\n", speedup
-  }' BENCH_sim_core.json
-
 # Sharded-mega throughput gate: the 10k-backend scenario through the
 # sharded engine must keep its aggregate req/s within 50% of the committed
 # baseline. Wall-clock based, so the tolerance is loose — it catches a
@@ -341,15 +326,4 @@ awk -F': ' '
     printf "    proxy_cost ok: skew compression %.3gx, %d handshakes\n", compression, handshakes
   }' BENCH_sim_core.json
 
-# Pick-kernel micro bench smoke: every (kernel, table size) pair runs and
-# the selector itself stays cheap. Output is informational; failure to run
-# (bad kernel id, out-of-bounds table) aborts the script.
-echo "==> [release-bench] pick-kernel micro bench"
-cmake --build --preset release-bench -j "$(nproc)" --target micro_algorithms \
-  >/dev/null
-./build-release/bench/micro_algorithms \
-  --benchmark_filter='BM_WeightedPickKernel|BM_KernelSelection' \
-  --benchmark_min_time=0.05 2>/dev/null | grep -E 'BM_|items_per_second' \
-  | head -20
-
-echo "All checks passed: ${presets[*]} + sim_core smoke + obs gate + batch gate + shard gate + serial-mega gate + control-plane gate + proxy-cost gate"
+echo "All checks passed: ${presets[*]} + sim_core smoke + obs gate + pick gate + shard gate + serial-mega gate + control-plane gate + proxy-cost gate"

@@ -21,23 +21,26 @@ std::optional<long long> parse_uint(std::string_view text) {
 
 namespace {
 
-/// Consumes the value of a flag at argv[i]; advances i past it.
-std::optional<long long> take_int_value(int argc, char** argv, int& i,
-                                        std::string_view flag,
-                                        long long min_value,
-                                        std::string* error) {
+/// Consumes the value of a flag at argv[i]; advances i past it. The value
+/// must fit in an int: a wider one would wrap into a sentinel on the cast.
+std::optional<int> take_int_value(int argc, char** argv, int& i,
+                                  std::string_view flag, long long min_value,
+                                  std::string* error) {
   if (i + 1 >= argc) {
     *error = std::string(flag) + " requires a value";
     return std::nullopt;
   }
   const std::string_view text = argv[++i];
   const auto value = parse_uint(text);
-  if (!value || *value < min_value) {
-    *error = std::string(flag) + " expects an integer >= " +
-             std::to_string(min_value) + ", got '" + std::string(text) + "'";
+  if (!value || *value < min_value ||
+      *value > std::numeric_limits<int>::max()) {
+    *error = std::string(flag) + " expects an integer in [" +
+             std::to_string(min_value) + ", " +
+             std::to_string(std::numeric_limits<int>::max()) + "], got '" +
+             std::string(text) + "'";
     return std::nullopt;
   }
-  return value;
+  return static_cast<int>(*value);
 }
 
 }  // namespace
@@ -93,11 +96,11 @@ std::optional<BenchArgs> try_parse_bench_args(int argc, char** argv,
     } else if (arg == "--reps") {
       const auto value = take_int_value(argc, argv, i, arg, 1, error);
       if (!value) return std::nullopt;
-      args.reps = static_cast<int>(*value);
+      args.reps = *value;
     } else if (arg == "--jobs") {
       const auto value = take_int_value(argc, argv, i, arg, 1, error);
       if (!value) return std::nullopt;
-      args.jobs = static_cast<int>(*value);
+      args.jobs = *value;
     } else if (arg == "--json") {
       if (i + 1 >= argc) {
         *error = "--json requires a path";

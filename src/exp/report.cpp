@@ -152,9 +152,7 @@ void write_profile(std::ostream& os, const obs::ProfileBlock& profile) {
        << ", \"dropped\": " << profile.ring_dropped[i] << '}';
     first = false;
   }
-  os << (first ? "]" : "\n    ]") << ",\n    \"weighted_kernel\": ";
-  write_escaped(os, profile.weighted_kernel_name());
-  os << ",\n    \"batch_hist\": [";
+  os << (first ? "]" : "\n    ]") << ",\n    \"batch_hist\": [";
   first = true;
   for (std::size_t i = 0; i < obs::kBatchBucketCount; ++i) {
     if (profile.batch_hist[i] == 0) continue;

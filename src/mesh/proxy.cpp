@@ -100,7 +100,7 @@ SimDuration Proxy::admit_cost(std::size_t idx) {
   }
   if (checkout.expired > 0) {
     cost_stats_.expired += checkout.expired;
-    L3_OBS_COUNT_DYN(obs::CounterId::kMeshConnExpired, checkout.expired);
+    L3_OBS_COUNT(kMeshConnExpired, checkout.expired);
   }
   const SimTime done_at = cpu_stage_.admit(now, service);
   const SimDuration wait = done_at - now - service;
@@ -185,25 +185,10 @@ void Proxy::refresh_picker() {
                static_cast<double>(cum_index_.size()));
 }
 
-namespace {
-// WeightedKernel -> per-kernel pick counter, indexed by the enum value.
-constexpr std::array<obs::CounterId, pick::kWeightedKernelCount>
-    kKernelCounters = {
-        obs::CounterId::kPickKernelLinear,
-        obs::CounterId::kPickKernelMultiLane,
-        obs::CounterId::kPickKernelBinary,
-};
-}  // namespace
-
 std::size_t Proxy::pick_weighted() {
   L3_OBS_SCOPE_SAMPLED(obs_pick, kWeightedPick);
   const std::size_t count = cum_index_.size();
   L3_ASSERT(count > 0);
-  // Kernel selection is two compares on the table size (or the test-only
-  // override); every kernel computes the identical upper_bound, so the
-  // choice can never perturb a pick.
-  const pick::WeightedKernel kernel = pick::select_weighted_kernel(count);
-  L3_OBS_COUNT_DYN(kKernelCounters[static_cast<std::size_t>(kernel)], 1);
   if (cum_total_ == 0) {
     // All available weights are zero: ignore weights among the available
     // set (uniform pick). uniform() < 1 keeps the index below count; the
@@ -220,7 +205,7 @@ std::size_t Proxy::pick_weighted() {
   // repeat the previous cumulative value and are skipped. The table covers
   // available backends only, so the result is always one of them (the old
   // open-coded walk could fall back to an unavailable last backend).
-  return cum_index_[pick::search(kernel, cum_weights_.data(), count, r)];
+  return cum_index_[pick::search(cum_weights_.data(), count, r)];
 }
 
 double Proxy::p2c_cost(const BackendSlot& slot) const {
@@ -230,7 +215,6 @@ double Proxy::p2c_cost(const BackendSlot& slot) const {
 
 std::size_t Proxy::pick_p2c() {
   L3_OBS_SCOPE_SAMPLED(obs_pick, kP2cPick);
-  L3_OBS_COUNT(kPickKernelP2c, 1);
   // The candidate set is a pure function of the availability mask, so it is
   // rebuilt only when the mask changes instead of on every pick (the
   // rebuild loop used to be the P2C hot path's dominant cost). A live mask
@@ -265,78 +249,6 @@ std::size_t Proxy::pick() {
   if (config_.routing == RoutingMode::kPeakEwmaP2C) return pick_p2c();
   refresh_picker();
   return pick_weighted();
-}
-
-void Proxy::pick_backend_batch(std::uint32_t* out, std::size_t m) {
-  if (m == 0) return;
-  // One refresh covers the whole batch: all picks happen at the current sim
-  // time, and within one timestamp nothing the refresh reads can change —
-  // the scalar loop's per-pick refreshes would all early-return anyway.
-  refresh_availability();
-  if (config_.routing == RoutingMode::kPeakEwmaP2C) {
-    // P2C draws interleave with the rejection loop, so the batch form is
-    // the scalar kernel per element (the candidate cache and availability
-    // load are still amortized across the batch).
-    for (std::size_t j = 0; j < m; ++j) {
-      out[j] = static_cast<std::uint32_t>(pick_p2c());
-    }
-    return;
-  }
-  refresh_picker();
-  const std::size_t count = cum_index_.size();
-  L3_ASSERT(count > 0);
-  L3_OBS_SCOPE_SAMPLED(obs_pick, kWeightedPick);
-  const pick::WeightedKernel kernel = pick::select_weighted_kernel(count);
-  L3_OBS_COUNT_DYN(kKernelCounters[static_cast<std::size_t>(kernel)], m);
-  if (cum_total_ == 0) {
-    for (std::size_t j = 0; j < m; ++j) {
-      auto nth = static_cast<std::size_t>(rng_.uniform() *
-                                          static_cast<double>(count));
-      if (nth >= count) nth = count - 1;
-      out[j] = cum_index_[nth];
-    }
-    return;
-  }
-  // The RNG draws happen in exactly the scalar order in both shapes below
-  // (searches never draw), so the stream is identical to m scalar picks.
-  if (kernel == pick::WeightedKernel::kLinear) {
-    // Small tables: the whole table lives in one or two cache lines, so a
-    // fused draw+search+map loop beats staging draws through memory. The
-    // search is a branch-free rank count over the first count-1 entries
-    // (the last entry equals the clamped total, so its compare is always
-    // false) — the forward scan's data-dependent exit mispredicts on
-    // skewed weights, and `out` (uint32_t*) may alias cum_index_'s
-    // elements, so both tables are hoisted into locals the stores
-    // provably cannot touch.
-    const std::uint64_t* cum = cum_weights_.data();
-    const std::uint32_t* idx = cum_index_.data();
-    const std::uint64_t cap = cum_total_;
-    const double total = static_cast<double>(cap);
-    const std::size_t inner = count - 1;
-    for (std::size_t j = 0; j < m; ++j) {
-      auto r = static_cast<std::uint64_t>(rng_.uniform() * total);
-      if (r >= cap) r = cap - 1;
-      std::size_t rank = 0;
-      for (std::size_t i = 0; i < inner; ++i) {
-        rank += static_cast<std::size_t>(cum[i] <= r);
-      }
-      out[j] = idx[rank];
-    }
-    return;
-  }
-  // Wide tables: stage the draws, then resolve them all against one load of
-  // the table through the batch kernel (multilane/binary vectorize better
-  // without the RNG's serial dependency in the loop).
-  batch_draws_.resize(m);
-  for (std::size_t j = 0; j < m; ++j) {
-    auto r = static_cast<std::uint64_t>(rng_.uniform() *
-                                        static_cast<double>(cum_total_));
-    if (r >= cum_total_) r = cum_total_ - 1;
-    batch_draws_[j] = r;
-  }
-  pick::search_batch(kernel, cum_weights_.data(), count, batch_draws_.data(),
-                     m, out);
-  for (std::size_t j = 0; j < m; ++j) out[j] = cum_index_[out[j]];
 }
 
 void Proxy::send(int depth, trace::SpanContext parent, ResponseFn done) {
@@ -507,38 +419,24 @@ void Proxy::on_response(CallHandle handle, const Outcome& outcome) {
 }
 
 void Proxy::push_timeout(SimTime deadline, CallHandle handle) {
-  const TimeoutEntry entry{deadline, handle};
-  push_timeout_batch(&entry, 1);
-}
-
-void Proxy::push_timeout_batch(const TimeoutEntry* entries, std::size_t m) {
-  std::size_t j = 0;
-  while (j < m) {
-    if (timeout_buckets_.empty() ||
-        timeout_buckets_.back()->tail == kTimeoutBucketSize) {
-      // Open a fresh tail bucket — recycled when possible, so steady state
-      // admission allocates nothing and (unlike the old power-of-two ring)
-      // growth never copies a live entry.
-      if (timeout_free_.empty()) {
-        timeout_buckets_.push_back(std::make_unique<TimeoutBucket>());
-      } else {
-        timeout_buckets_.push_back(std::move(timeout_free_.back()));
-        timeout_free_.pop_back();
-        timeout_buckets_.back()->head = 0;
-        timeout_buckets_.back()->tail = 0;
-      }
+  if (timeout_buckets_.empty() ||
+      timeout_buckets_.back()->tail == kTimeoutBucketSize) {
+    // Open a fresh tail bucket — recycled when possible, so steady state
+    // admission allocates nothing and (unlike the old power-of-two ring)
+    // growth never copies a live entry.
+    if (timeout_free_.empty()) {
+      timeout_buckets_.push_back(std::make_unique<TimeoutBucket>());
+    } else {
+      timeout_buckets_.push_back(std::move(timeout_free_.back()));
+      timeout_free_.pop_back();
+      timeout_buckets_.back()->head = 0;
+      timeout_buckets_.back()->tail = 0;
     }
-    TimeoutBucket& bucket = *timeout_buckets_.back();
-    const std::size_t space =
-        std::min(m - j, kTimeoutBucketSize - bucket.tail);
-    for (std::size_t k = 0; k < space; ++k) {
-      bucket.slots[bucket.tail + k] = entries[j + k];
-    }
-    bucket.tail += space;
-    bucket.last_deadline = entries[j + space - 1].deadline;
-    j += space;
   }
-  timeout_count_ += m;
+  TimeoutBucket& bucket = *timeout_buckets_.back();
+  bucket.slots[bucket.tail++] = TimeoutEntry{deadline, handle};
+  bucket.last_deadline = deadline;
+  ++timeout_count_;
 }
 
 void Proxy::pop_timeout() {

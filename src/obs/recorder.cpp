@@ -25,10 +25,6 @@ constexpr std::array<std::string_view, kCounterCount> kCounterNames = {
     "rt.counter.mesh.handshakes",
     "rt.counter.mesh.pool_hits",
     "rt.counter.mesh.conn_expired",
-    "rt.counter.mesh.pick_kernel.linear",
-    "rt.counter.mesh.pick_kernel.multilane",
-    "rt.counter.mesh.pick_kernel.binary",
-    "rt.counter.mesh.pick_kernel.p2c",
     "rt.counter.tsdb.samples",
     "rt.counter.scraper.series",
     "rt.counter.controller.ticks",
@@ -108,30 +104,6 @@ std::string_view batch_bucket_label(std::size_t bucket) {
 
 // ---------------------------------------------------------------------------
 // ProfileBlock
-
-std::string_view ProfileBlock::weighted_kernel_name() const {
-  struct Entry {
-    CounterId id;
-    std::string_view name;
-  };
-  // Ties break toward the first listed (selection order); in practice one
-  // kernel serves every pick of a run unless a test flips the override.
-  constexpr Entry kEntries[] = {
-      {CounterId::kPickKernelLinear, "linear"},
-      {CounterId::kPickKernelMultiLane, "multilane"},
-      {CounterId::kPickKernelBinary, "binary"},
-  };
-  std::string_view best = "none";
-  std::uint64_t best_count = 0;
-  for (const Entry& e : kEntries) {
-    const std::uint64_t c = counters[static_cast<std::size_t>(e.id)];
-    if (c > best_count) {
-      best_count = c;
-      best = e.name;
-    }
-  }
-  return best;
-}
 
 std::size_t ProfileBlock::active_subsystems() const {
   std::size_t n = 0;

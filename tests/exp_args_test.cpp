@@ -97,6 +97,10 @@ TEST(BenchArgsTest, RejectsNonNumericReps) {
 TEST(BenchArgsTest, RejectsNegativeAndZeroReps) {
   EXPECT_FALSE(parse({"--reps", "-2"}).has_value());
   EXPECT_FALSE(parse({"--reps", "0"}).has_value());
+  // 2^32 - 1 would wrap to -1, the "use default" sentinel.
+  std::string error;
+  EXPECT_FALSE(parse({"--reps", "4294967295"}, &error).has_value());
+  EXPECT_NE(error.find("--reps"), std::string::npos);
 }
 
 TEST(BenchArgsTest, RejectsMissingValues) {
@@ -109,6 +113,10 @@ TEST(BenchArgsTest, RejectsInvalidJobs) {
   EXPECT_FALSE(parse({"--jobs", "zero"}).has_value());
   EXPECT_FALSE(parse({"--jobs", "0"}).has_value());
   EXPECT_FALSE(parse({"--jobs", "-1"}).has_value());
+  // 2^32 would wrap to 0, which means "auto".
+  std::string error;
+  EXPECT_FALSE(parse({"--jobs", "4294967296"}, &error).has_value());
+  EXPECT_NE(error.find("--jobs"), std::string::npos);
 }
 
 TEST(BenchArgsTest, RejectsUnknownFlags) {

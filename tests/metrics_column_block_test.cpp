@@ -76,8 +76,9 @@ TEST_F(ColumnBlockTest, ColumnarScrapeMatchesPerSeriesCopy) {
         [&](const std::string& key, double v) { oracle.append(key, at, v); },
         [&](const std::string& key, double v) { oracle.append(key, at, v); },
         [&](const std::string& key, const HistogramSeries& hs) {
-          oracle.append_histogram(key, at, hs.bounds(),
-                                  hs.cumulative_counts());
+          const HistogramId id = oracle.histogram_series(key);
+          oracle.set_histogram_bounds(id, hs.bounds());
+          oracle.append_histogram(id, at, hs.cumulative_counts());
         });
   };
   copy_all(0.0);

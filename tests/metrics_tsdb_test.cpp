@@ -7,8 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace l3::metrics {
 namespace {
+
+using Row = std::vector<double>;
 
 TEST(Tsdb, RateNeedsTwoSamples) {
   TimeSeriesDb db;
@@ -76,8 +80,10 @@ TEST(Tsdb, HistogramQuantileFromBucketDeltas) {
   TimeSeriesDb db;
   const std::vector<double> bounds = {0.1, 0.2};
   // At t=0: 0 observations. At t=10: 100 observations, all in (0.1, 0.2].
-  db.append_histogram("h", 0.0, bounds, {0.0, 0.0, 0.0});
-  db.append_histogram("h", 10.0, bounds, {0.0, 100.0, 100.0});
+  const HistogramId h = db.histogram_series("h");
+  db.set_histogram_bounds(h, bounds);
+  db.append_histogram(h, 0.0, Row{0.0, 0.0, 0.0});
+  db.append_histogram(h, 10.0, Row{0.0, 100.0, 100.0});
   const auto q = db.quantile("h", 0.5, 10.0, 10.0);
   ASSERT_TRUE(q.has_value());
   EXPECT_NEAR(*q, 0.15, 1e-12);
@@ -88,9 +94,11 @@ TEST(Tsdb, HistogramQuantileIgnoresHistoryBeforeWindow) {
   const std::vector<double> bounds = {0.1, 0.2};
   // Old traffic in bucket 0; recent traffic in bucket 1. The windowed
   // quantile must only see the recent delta.
-  db.append_histogram("h", 0.0, bounds, {1000.0, 1000.0, 1000.0});
-  db.append_histogram("h", 50.0, bounds, {1000.0, 1000.0, 1000.0});
-  db.append_histogram("h", 60.0, bounds, {1000.0, 1100.0, 1100.0});
+  const HistogramId h = db.histogram_series("h");
+  db.set_histogram_bounds(h, bounds);
+  db.append_histogram(h, 0.0, Row{1000.0, 1000.0, 1000.0});
+  db.append_histogram(h, 50.0, Row{1000.0, 1000.0, 1000.0});
+  db.append_histogram(h, 60.0, Row{1000.0, 1100.0, 1100.0});
   const auto q = db.quantile("h", 0.5, 10.0, 60.0);
   ASSERT_TRUE(q.has_value());
   EXPECT_GT(*q, 0.1);
@@ -99,8 +107,10 @@ TEST(Tsdb, HistogramQuantileIgnoresHistoryBeforeWindow) {
 TEST(Tsdb, HistogramQuantileNulloptOnNoTraffic) {
   TimeSeriesDb db;
   const std::vector<double> bounds = {0.1};
-  db.append_histogram("h", 0.0, bounds, {5.0, 5.0});
-  db.append_histogram("h", 10.0, bounds, {5.0, 5.0});
+  const HistogramId h = db.histogram_series("h");
+  db.set_histogram_bounds(h, bounds);
+  db.append_histogram(h, 0.0, Row{5.0, 5.0});
+  db.append_histogram(h, 10.0, Row{5.0, 5.0});
   EXPECT_FALSE(db.quantile("h", 0.99, 10.0, 10.0).has_value());
 }
 
@@ -122,9 +132,11 @@ TEST(Tsdb, RejectsOutOfOrderAppends) {
 
 TEST(Tsdb, RejectsMismatchedHistogramBounds) {
   TimeSeriesDb db;
-  db.append_histogram("h", 0.0, {0.1}, {0.0, 0.0});
-  EXPECT_THROW(db.append_histogram("h", 1.0, {0.2}, {0.0, 0.0}),
-               ContractViolation);
+  const HistogramId h = db.histogram_series("h");
+  db.set_histogram_bounds(h, Row{0.1});
+  db.append_histogram(h, 0.0, Row{0.0, 0.0});
+  db.set_histogram_bounds(h, Row{0.1});  // re-declaring the same bounds is fine
+  EXPECT_THROW(db.set_histogram_bounds(h, Row{0.2}), ContractViolation);
 }
 
 TEST(Tsdb, CompactDropsStaleSamplesOfIdleSeries) {
@@ -147,8 +159,12 @@ TEST(Tsdb, CompactDropsStaleSamplesOfIdleSeries) {
 TEST(Tsdb, CompactErasesEmptyHistogramSeries) {
   TimeSeriesDb db(/*retention=*/30.0);
   const std::vector<double> bounds = {0.1};
-  db.append_histogram("idle_h", 0.0, bounds, {1.0, 2.0});
-  db.append_histogram("live_h", 100.0, bounds, {1.0, 2.0});
+  const HistogramId idle = db.histogram_series("idle_h");
+  const HistogramId live = db.histogram_series("live_h");
+  db.set_histogram_bounds(idle, bounds);
+  db.set_histogram_bounds(live, bounds);
+  db.append_histogram(idle, 0.0, Row{1.0, 2.0});
+  db.append_histogram(live, 100.0, Row{1.0, 2.0});
   EXPECT_EQ(db.histogram_series_count(), 2u);
   db.compact(100.0);
   EXPECT_EQ(db.histogram_series_count(), 1u);

@@ -1,9 +1,8 @@
-// Tests for the specialized cumulative-weight search kernels: exact
+// Tests for the cumulative-weight search behind the weighted picker: exact
 // agreement with std::upper_bound (the reference semantics the scalar
-// picker always had), batch/scalar equivalence, selector thresholds, and a
-// chi-square distribution check per kernel — both directly against the
-// kernels and end-to-end through a proxy with the test-only override
-// forcing each kernel in turn.
+// picker always had) at every table size the 64-bit availability mask
+// admits, and chi-square distribution checks both directly against the
+// search and end-to-end through a proxy.
 #include "l3/mesh/pick_kernels.h"
 
 #include "l3/common/rng.h"
@@ -19,15 +18,6 @@
 
 namespace l3::mesh::pick {
 namespace {
-
-/// Restores production size-based selection no matter how a test exits —
-/// the override is a global and must never leak into other tests.
-struct KernelOverrideGuard {
-  explicit KernelOverrideGuard(WeightedKernel k) {
-    set_weighted_kernel_override(static_cast<int>(k));
-  }
-  ~KernelOverrideGuard() { set_weighted_kernel_override(-1); }
-};
 
 /// Reference implementation: first index whose cumulative weight exceeds r.
 std::size_t reference_search(const std::vector<std::uint64_t>& cum,
@@ -51,14 +41,9 @@ std::vector<std::uint64_t> make_table(std::size_t n, SplitRng& rng) {
   return cum;
 }
 
-constexpr WeightedKernel kAllKernels[] = {
-    WeightedKernel::kLinear, WeightedKernel::kMultiLane,
-    WeightedKernel::kBinary};
-
 TEST(PickKernels, AllKernelsAgreeWithUpperBound) {
   SplitRng rng(101);
-  for (std::size_t n : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 16u, 31u, 32u, 33u,
-                        64u, 100u, 128u}) {
+  for (std::size_t n = 1; n <= 64; ++n) {
     const auto cum = make_table(n, rng);
     const std::uint64_t total = cum.back();
     std::vector<std::uint64_t> draws;
@@ -74,53 +59,10 @@ TEST(PickKernels, AllKernelsAgreeWithUpperBound) {
     }
     for (std::uint64_t r : draws) {
       if (r >= total) r = total - 1;
-      const std::size_t expected = reference_search(cum, r);
-      for (const auto k : kAllKernels) {
-        EXPECT_EQ(search(k, cum.data(), n, r), expected)
-            << kernel_name(k) << " n=" << n << " r=" << r;
-      }
+      EXPECT_EQ(search(cum.data(), n, r), reference_search(cum, r))
+          << "n=" << n << " r=" << r;
     }
   }
-}
-
-TEST(PickKernels, SearchBatchMatchesScalarCalls) {
-  SplitRng rng(202);
-  for (std::size_t n : {3u, 8u, 32u, 128u}) {
-    const auto cum = make_table(n, rng);
-    const std::uint64_t total = cum.back();
-    std::vector<std::uint64_t> draws(257);
-    for (auto& d : draws) {
-      d = static_cast<std::uint64_t>(rng.uniform() *
-                                     static_cast<double>(total));
-      if (d >= total) d = total - 1;
-    }
-    for (const auto k : kAllKernels) {
-      std::vector<std::uint32_t> out(draws.size());
-      search_batch(k, cum.data(), n, draws.data(), draws.size(), out.data());
-      for (std::size_t j = 0; j < draws.size(); ++j) {
-        EXPECT_EQ(out[j], search(k, cum.data(), n, draws[j]))
-            << kernel_name(k) << " n=" << n << " j=" << j;
-      }
-    }
-  }
-}
-
-TEST(PickKernels, SelectorPicksBySizeThresholds) {
-  EXPECT_EQ(select_weighted_kernel(1), WeightedKernel::kLinear);
-  EXPECT_EQ(select_weighted_kernel(kLinearMax), WeightedKernel::kLinear);
-  EXPECT_EQ(select_weighted_kernel(kLinearMax + 1), WeightedKernel::kMultiLane);
-  EXPECT_EQ(select_weighted_kernel(kMultiLaneMax), WeightedKernel::kMultiLane);
-  EXPECT_EQ(select_weighted_kernel(kMultiLaneMax + 1), WeightedKernel::kBinary);
-  EXPECT_EQ(select_weighted_kernel(64), WeightedKernel::kBinary);
-}
-
-TEST(PickKernels, OverrideForcesKernelRegardlessOfSize) {
-  for (const auto k : kAllKernels) {
-    KernelOverrideGuard guard(k);
-    EXPECT_EQ(select_weighted_kernel(3), k);
-    EXPECT_EQ(select_weighted_kernel(200), k);
-  }
-  EXPECT_EQ(select_weighted_kernel(3), WeightedKernel::kLinear);
 }
 
 /// Chi-square statistic of observed counts against expected proportions.
@@ -141,8 +83,7 @@ double chi_square(const std::vector<std::uint64_t>& observed,
 }
 
 TEST(PickKernels, ChiSquareDirectDrawsMatchWeightsPerKernel) {
-  // 16-entry table (the multilane selector's natural regime) with a skewed
-  // weight vector including a zero. df = 14 pickable - 1 = 13; the 99.9th
+  // 16-entry table with a skewed weight vector including a zero. df = 14 pickable - 1 = 13; the 99.9th
   // percentile of chi2(13) is 34.5 — use 40 for slack. The draw mapping is
   // deterministic, so this never flakes; the margin is pure chi-square.
   constexpr std::size_t kN = 16;
@@ -161,23 +102,19 @@ TEST(PickKernels, ChiSquareDirectDrawsMatchWeightsPerKernel) {
                static_cast<double>(total_weight);
   }
   constexpr std::uint64_t kDraws = 200000;
-  for (const auto k : kAllKernels) {
-    SplitRng rng(303);  // same draw sequence against every kernel
-    std::vector<std::uint64_t> counts(kN, 0);
-    for (std::uint64_t d = 0; d < kDraws; ++d) {
-      auto r = static_cast<std::uint64_t>(
-          rng.uniform() * static_cast<double>(total_weight));
-      if (r >= total_weight) r = total_weight - 1;
-      counts[search(k, cum.data(), kN, r)]++;
-    }
-    EXPECT_LT(chi_square(counts, share, kDraws), 40.0) << kernel_name(k);
+  SplitRng rng(303);
+  std::vector<std::uint64_t> counts(kN, 0);
+  for (std::uint64_t d = 0; d < kDraws; ++d) {
+    auto r = static_cast<std::uint64_t>(
+        rng.uniform() * static_cast<double>(total_weight));
+    if (r >= total_weight) r = total_weight - 1;
+    counts[search(cum.data(), kN, r)]++;
   }
+  EXPECT_LT(chi_square(counts, share, kDraws), 40.0);
 }
 
 /// End-to-end: a proxy with a 6/3/1 weight split must reproduce those
-/// shares through every kernel, via both the scalar picker and the batch
-/// path. Exercises the fused linear loop and the staged search_batch path
-/// inside Proxy::pick_backend_batch.
+/// shares through Proxy::pick_backend.
 class ProxyKernelChiSquareTest : public ::testing::Test {
  protected:
   ProxyKernelChiSquareTest() : rng(17), mesh(sim, rng, make_config()) {
@@ -211,31 +148,10 @@ TEST_F(ProxyKernelChiSquareTest, ScalarPickMatchesWeightsPerKernel) {
   const std::vector<double> share{0.6, 0.3, 0.1};
   constexpr int kPicks = 60000;
   // df = 2; chi2(2) 99.9th percentile is 13.8 — use 20 for slack.
-  for (const auto k : kAllKernels) {
-    KernelOverrideGuard guard(k);
-    Proxy& proxy = mesh.proxy(c1, "svc");
-    std::vector<std::uint64_t> counts(3, 0);
-    for (int i = 0; i < kPicks; ++i) counts[proxy.pick_backend()]++;
-    EXPECT_LT(chi_square(counts, share, kPicks), 20.0) << kernel_name(k);
-  }
-}
-
-TEST_F(ProxyKernelChiSquareTest, BatchPickMatchesWeightsPerKernel) {
-  const std::vector<double> share{0.6, 0.3, 0.1};
-  constexpr std::size_t kBlock = 64;
-  constexpr std::size_t kBlocks = 1000;
-  for (const auto k : kAllKernels) {
-    KernelOverrideGuard guard(k);
-    Proxy& proxy = mesh.proxy(c1, "svc");
-    std::vector<std::uint64_t> counts(3, 0);
-    std::uint32_t out[kBlock];
-    for (std::size_t b = 0; b < kBlocks; ++b) {
-      proxy.pick_backend_batch(out, kBlock);
-      for (std::size_t j = 0; j < kBlock; ++j) counts[out[j]]++;
-    }
-    EXPECT_LT(chi_square(counts, share, kBlock * kBlocks), 20.0)
-        << kernel_name(k);
-  }
+  Proxy& proxy = mesh.proxy(c1, "svc");
+  std::vector<std::uint64_t> counts(3, 0);
+  for (int i = 0; i < kPicks; ++i) counts[proxy.pick_backend()]++;
+  EXPECT_LT(chi_square(counts, share, kPicks), 20.0);
 }
 
 }  // namespace
