@@ -26,7 +26,6 @@ int main(int argc, char** argv) {
       workload::make_scenario1());
   workload::RunnerConfig config;
   config.profile = args.profile;
-  config.dispatch_batch = static_cast<std::size_t>(args.batch);
   config.shards = static_cast<std::size_t>(args.shards);
   if (args.fast) config.duration = 180.0;
 

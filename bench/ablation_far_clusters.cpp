@@ -33,7 +33,6 @@ int main(int argc, char** argv) {
       workload::make_failure1());
   workload::RunnerConfig base;
   base.profile = args.profile;
-  base.dispatch_batch = static_cast<std::size_t>(args.batch);
   base.shards = static_cast<std::size_t>(args.shards);
   base.wan_one_way = 0.070;
   if (args.fast) base.duration = 180.0;

@@ -40,8 +40,7 @@ struct SurgeResult {
 };
 
 SurgeResult run(bool rate_control, std::uint64_t seed,
-                l3::obs::Recorder* recorder, std::size_t dispatch_batch,
-                std::size_t shards) {
+                l3::obs::Recorder* recorder, std::size_t shards) {
   using namespace l3;
   // Inline harness (no workload::runner), so the recorder binds here.
   std::optional<obs::ScopedRecorderBind> recorder_bind;
@@ -58,7 +57,6 @@ SurgeResult run(bool rate_control, std::uint64_t seed,
   }
 
   sim::Simulator sim;
-  sim.set_dispatch_batch(dispatch_batch);
   SplitRng root(seed);
   mesh::Mesh mesh(sim, root.split("mesh"));
   const auto c1 = mesh.add_cluster("cluster-1");
@@ -109,11 +107,9 @@ SurgeResult run(bool rate_control, std::uint64_t seed,
   controller.manage_all();
   controller.start();
 
-  workload::OpenLoopClient::Config client_config;
-  client_config.arrival_batch = dispatch_batch;
   workload::OpenLoopClient client(
       mesh, c1, "api", [&trace](SimTime t) { return trace.rps_at(t); },
-      root.split("client"), client_config);
+      root.split("client"));
   client.start(0.0, end);
   // Same sharded-run shape as workload::run_scenario_with: the topology is
   // RNG-coupled, so all clusters stay on shard 0 and results are
@@ -171,14 +167,13 @@ int main(int argc, char** argv) {
   spec.repetitions = reps;
   spec.seed = 42;
   spec.cell = [profile = args.profile,
-               batch = static_cast<std::size_t>(args.batch),
                shards = static_cast<std::size_t>(args.shards)](
                   const exp::Cell& cell,
                   std::uint64_t seed) -> exp::CellData {
     std::optional<obs::Recorder> recorder;
     if (profile) recorder.emplace();
     const auto r = run(cell.policy == 0, seed,
-                       recorder ? &*recorder : nullptr, batch, shards);
+                       recorder ? &*recorder : nullptr, shards);
     exp::CellData data;
     data.metrics = {{"p99_steady", r.p99_steady},
                     {"p99_surge", r.p99_surge},

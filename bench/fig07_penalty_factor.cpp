@@ -23,7 +23,6 @@ int main(int argc, char** argv) {
   const auto trace = workload::make_failure2();
   workload::RunnerConfig config;
   config.profile = args.profile;
-  config.dispatch_batch = static_cast<std::size_t>(args.batch);
   config.shards = static_cast<std::size_t>(args.shards);
   if (args.fast) config.duration = 180.0;
 

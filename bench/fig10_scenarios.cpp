@@ -23,7 +23,6 @@ int main(int argc, char** argv) {
 
   workload::RunnerConfig config;
   config.profile = args.profile;
-  config.dispatch_batch = static_cast<std::size_t>(args.batch);
   config.shards = static_cast<std::size_t>(args.shards);
   bench::apply_proxy_cost(config, args);
   if (args.fast) config.duration = 180.0;

@@ -27,7 +27,6 @@ int main(int argc, char** argv) {
 
   workload::RunnerConfig config;
   config.profile = args.profile;
-  config.dispatch_batch = static_cast<std::size_t>(args.batch);
   config.shards = static_cast<std::size_t>(args.shards);
   if (args.fast) config.duration = 180.0;
   config.health_probe_interval = 0.0;  // failures visible via metrics only

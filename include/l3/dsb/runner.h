@@ -29,9 +29,6 @@ struct DsbRunnerConfig {
   SimDuration propagation_delay = 0.0;
   /// Bind an obs::Recorder for the run (see workload::RunnerConfig::profile).
   bool profile = false;
-  /// Hot-path batching knob (see workload::RunnerConfig::dispatch_batch);
-  /// 1 = per-event dispatch, results byte-identical for every value.
-  std::size_t dispatch_batch = 64;
   /// Simulator shards (see workload::RunnerConfig::shards): the DSB
   /// topology is RNG-coupled, so all clusters stay on shard 0 and results
   /// are byte-identical for every value.

@@ -1,7 +1,7 @@
 // The shared command-line surface of every bench binary:
 //
 //   [--reps N] [--fast] [--jobs N] [--json PATH] [--profile]
-//   [--batch=N] [--no-batch] [--shards=N] [--proxy-cost=US]
+//   [--shards=N] [--proxy-cost=US]
 //
 // Parsing is strict: numeric flags reject non-numeric, negative, trailing-
 // garbage and overflowing values instead of silently mapping them to 0 the
@@ -24,11 +24,6 @@ struct BenchArgs {
   /// gains a deterministic `profile` block and a wall-time table goes to
   /// stderr. Simulation results are unchanged.
   bool profile = false;
-  /// Hot-path batching: events per dispatch batch and arrivals per
-  /// pre-generated client block (RunnerConfig::dispatch_batch). 1 (set by
-  /// --no-batch) runs the per-event path; results are byte-identical for
-  /// every value.
-  int batch = 64;
   /// Simulator shards for the conservative-lookahead parallel engine
   /// (RunnerConfig::shards). Results are byte-identical for every value,
   /// including 1 (the legacy single-simulator loop).

@@ -54,7 +54,7 @@ namespace l3::obs {
 
 /// Profiled subsystems (one scoped timer each). Order is the export order.
 enum class ScopeId : std::uint8_t {
-  kSimDispatch = 0,   ///< EventQueue::dispatch_min via Simulator run loop
+  kSimDispatch = 0,   ///< one EventQueue::dispatch_batch drain (run_until/step)
   kPickerRebuild,     ///< Proxy cumulative-weight table rebuild
   kWeightedPick,      ///< Proxy::pick_weighted
   kP2cPick,           ///< Proxy::pick_p2c

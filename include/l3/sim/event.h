@@ -64,7 +64,7 @@ struct Event {
 ///
 /// The EventFns sit in a chunked slot pool on the side, their indices
 /// recycled through a free list; a callable is moved exactly once in its
-/// queue lifetime (in at push — dispatch_min() invokes it in place; only
+/// queue lifetime (in at push — dispatch_batch() invokes it in place; only
 /// pop_min() moves it out). Steady state runs allocation-free: pool and
 /// heap high-watermark at the maximum number of concurrently pending
 /// events.
@@ -100,8 +100,6 @@ class EventQueue {
     sift_up(key);
   }
 
-  void push(Event ev) { push(ev.time, ev.seq, std::move(ev.fn)); }
-
   /// Removes and returns the earliest event by move — no const_cast, no
   /// copy of the callable.
   Event pop_min() {
@@ -113,31 +111,17 @@ class EventQueue {
                  std::move(slot_ref(slot))};
   }
 
-  /// Pops the earliest event and invokes `sink(time, fn)` with the callable
-  /// still in its pool slot — no move-out. The slot is reclaimed only after
-  /// the sink returns, and chunked slot storage guarantees the reference
-  /// stays valid even when the sink re-enters push() (new pushes may add a
-  /// chunk but never relocate existing ones). This is the dispatch loop's
-  /// fast path: pop_min() pays a full SmallFn relocation per event, which
-  /// for closures holding nested callbacks is an indirect relocate chain.
-  template <typename Sink>
-  void dispatch_min(Sink&& sink) {
-    L3_EXPECTS(!empty());
-    run_top(take_min(), [&sink](SimTime t, EventFn& fn) {
-      sink(t, fn);
-      return true;
-    });
-  }
-
   /// Drains up to `max_n` events with time <= `end`, invoking
-  /// `sink(time, fn) -> bool` for each with the callable in place, exactly
-  /// as that many dispatch_min() calls would — the pop order (time, seq) is
-  /// untouched, re-entrant pushes are observed immediately (an event
-  /// scheduling at the current timestamp is popped within the same batch),
-  /// and a `false` return from the sink ends the batch after that event.
-  /// What batching buys is the per-event caller overhead: one outer-loop
-  /// iteration, one empty()/min_time() probe and one instrumentation record
-  /// per batch instead of per event. Returns the number dispatched.
+  /// `sink(time, fn) -> bool` for each with the callable still in its pool
+  /// slot — no move-out. Each slot is reclaimed only after the sink
+  /// returns, and chunked slot storage keeps the reference valid even when
+  /// the sink re-enters push() (new pushes may add a chunk but never
+  /// relocate existing ones); pop_min() instead pays a full SmallFn
+  /// relocation per event. The pop order is (time, seq), exactly as
+  /// repeated pop_min() calls would give; re-entrant pushes are observed
+  /// immediately (an event scheduling at the current timestamp is popped
+  /// within the same batch), and a `false` return from the sink ends the
+  /// batch after that event. Returns the number dispatched.
   template <typename Sink>
   std::size_t dispatch_batch(SimTime end, std::size_t max_n, Sink&& sink) {
     const std::uint64_t end_key = time_key(end);
@@ -253,7 +237,7 @@ class EventQueue {
 
   // Slot pool for the EventFns, stored in fixed-size chunks so a slot's
   // address never changes once allocated. That stability is what lets
-  // dispatch_min() hand out a reference into the pool while the callable
+  // dispatch_batch() hand out a reference into the pool while the callable
   // runs: re-entrant pushes can grow the pool by appending a chunk, but
   // never relocate live slots the way a flat vector's reallocation would.
   static constexpr std::size_t kChunkShift = 8;

@@ -113,9 +113,10 @@ class Simulator {
   /// The clock is left at `end` (or at the last event if the queue drained).
   /// Returns the number of events processed.
   ///
-  /// Events are drained in dispatch batches of up to dispatch_batch()
-  /// events (EventQueue::dispatch_batch): identical event order, one
-  /// outer-loop iteration and one instrumentation record per batch.
+  /// Events are drained in batches of up to kDispatchBatch
+  /// (EventQueue::dispatch_batch): the event order is the per-event order,
+  /// with one outer-loop iteration and one instrumentation record per
+  /// batch. stop() still takes effect after the in-flight event.
   std::size_t run_until(SimTime end);
 
   /// Convenience: run_until(now() + duration).
@@ -128,19 +129,6 @@ class Simulator {
   /// event finishes.
   void stop() { stop_requested_ = true; }
 
-  /// Default dispatch-batch size: deep enough to amortize the outer loop,
-  /// far shallower than any point where latency-to-stop() could matter
-  /// (stop() still takes effect after the in-flight event).
-  static constexpr std::size_t kDefaultDispatchBatch = 64;
-
-  /// Sets the max events drained per dispatch batch (clamped to >= 1).
-  /// Batching never reorders events; 1 restores the strictly per-event
-  /// loop (the --no-batch A/B baseline).
-  void set_dispatch_batch(std::size_t n) {
-    dispatch_batch_ = n < 1 ? 1 : n;
-  }
-  std::size_t dispatch_batch() const { return dispatch_batch_; }
-
   /// Number of events currently pending.
   std::size_t pending() const { return queue_.size(); }
 
@@ -148,6 +136,11 @@ class Simulator {
   std::uint64_t executed() const { return executed_; }
 
  private:
+  /// Max events run_until drains per outer-loop iteration: deep enough to
+  /// amortize the loop and its obs records, and no observable choice —
+  /// every batch size yields the identical event order.
+  static constexpr std::size_t kDispatchBatch = 64;
+
   void fire_periodic(const std::shared_ptr<detail::PeriodicTask>& task);
   void schedule_periodic_firing(std::shared_ptr<detail::PeriodicTask> task,
                                 SimTime at);
@@ -158,7 +151,6 @@ class Simulator {
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
-  std::size_t dispatch_batch_ = kDefaultDispatchBatch;
   bool stop_requested_ = false;
 };
 

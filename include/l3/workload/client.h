@@ -51,15 +51,6 @@ struct ClientConfig {
   /// Pause before a retry is issued (the client's failure-detection +
   /// backoff time).
   SimDuration retry_backoff = 0.0;
-  /// Arrival times are pre-generated in blocks of up to this many (>= 1),
-  /// so the gap recurrence (rate lookup + exponential draw) runs as a tight
-  /// loop instead of being re-entered once per dispatched event. Byte-
-  /// identical for any value: the recurrence consumes exactly the same
-  /// draws in the same stream order, and in the one mode where other draws
-  /// interleave on this client's stream (poisson + kLocalDirect, where
-  /// fire draws WAN samples from the same SplitRng) the effective block
-  /// size is forced to 1.
-  std::size_t arrival_batch = 16;
 };
 
 /// Open-loop constant-throughput client.

@@ -74,7 +74,6 @@ struct MegaConfig {
 
   /// Cross-shard mailbox flush threshold (ShardEngine::Config).
   std::size_t mailbox_capacity = 256;
-  std::size_t dispatch_batch = 64;
 };
 
 /// Per-region outcome (client-side view of that region's proxy).
@@ -125,8 +124,8 @@ struct MegaResult {
 };
 
 /// Runs the mega scenario. Deterministic in (config minus shards /
-/// pin_threads / mailbox_capacity / dispatch_batch): those four knobs
-/// change scheduling, not results.
+/// pin_threads / mailbox_capacity): those three knobs change scheduling,
+/// not results.
 MegaResult run_mega(const MegaConfig& config = {});
 
 }  // namespace l3::workload

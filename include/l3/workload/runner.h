@@ -86,12 +86,6 @@ struct RunnerConfig {
   /// simulation results are identical with this on or off (and the macros
   /// compile out entirely with L3_OBS=OFF).
   bool profile = false;
-  /// Hot-path batching knob: events drained per EventQueue batch and
-  /// arrival times pre-generated per client block. 1 = fully unbatched
-  /// (per-event dispatch, the pre-batching code path). Simulation results
-  /// are byte-identical for every value — this is a throughput knob only,
-  /// which the batched-vs-unbatched golden-trace tests pin down.
-  std::size_t dispatch_batch = 64;
   /// Simulator shards for the conservative-lookahead parallel engine
   /// (l3/sim/shard_engine.h). The fig topologies couple the clusters
   /// through the legacy WAN discipline (the return delay is drawn

@@ -22,7 +22,9 @@ void save_trace_csv(const ScenarioTrace& trace, std::ostream& os);
 void save_trace_csv(const ScenarioTrace& trace, const std::string& path);
 
 /// Parses a trace from CSV (the exact format save_trace_csv emits).
-/// Throws ContractViolation on malformed input.
+/// Throws ContractViolation on malformed input: an unparsable or
+/// out-of-range field, a non-finite value, a non-positive rps, a negative
+/// latency, or a success rate outside [0, 1].
 ScenarioTrace load_trace_csv(std::istream& is);
 
 /// Reads a trace from a file; throws ContractViolation on I/O failure.

@@ -43,6 +43,46 @@ std::optional<int> take_int_value(int argc, char** argv, int& i,
   return static_cast<int>(*value);
 }
 
+/// A flag whose value is attached (`--shards=N`): a detached value would
+/// make `--shards --fast` ambiguous.
+struct AttachedIntFlag {
+  std::string_view name;     ///< e.g. "--shards"
+  std::string_view metavar;  ///< the value's name in `name=metavar`
+  long long min_value;
+  std::string_view expects;  ///< what the error says a value must be
+};
+
+constexpr AttachedIntFlag kShardsFlag{"--shards", "N", 1, "an integer >= 1"};
+constexpr AttachedIntFlag kProxyCostFlag{"--proxy-cost", "US", 0,
+                                         "an integer >= 0 (microseconds)"};
+
+/// Parses `arg`, which starts with `flag.name`, as `name=value`. The value
+/// must fit in an int.
+std::optional<int> take_attached_int(std::string_view arg,
+                                     const AttachedIntFlag& flag,
+                                     std::string* error) {
+  const std::string name(flag.name);
+  const std::string_view rest = arg.substr(flag.name.size());
+  if (rest.empty()) {
+    *error = name + " requires an attached value: " + name + "=" +
+             std::string(flag.metavar);
+    return std::nullopt;
+  }
+  if (rest.front() != '=') {
+    *error = "unknown argument '" + std::string(arg) + "'";
+    return std::nullopt;
+  }
+  const std::string_view text = rest.substr(1);
+  const auto value = parse_uint(text);
+  if (!value || *value < flag.min_value ||
+      *value > std::numeric_limits<int>::max()) {
+    *error = name + " expects " + std::string(flag.expects) + ", got '" +
+             std::string(text) + "'";
+    return std::nullopt;
+  }
+  return static_cast<int>(*value);
+}
+
 }  // namespace
 
 std::optional<BenchArgs> try_parse_bench_args(int argc, char** argv,
@@ -54,45 +94,14 @@ std::optional<BenchArgs> try_parse_bench_args(int argc, char** argv,
       args.fast = true;
     } else if (arg == "--profile") {
       args.profile = true;
-    } else if (arg == "--no-batch") {
-      args.batch = 1;
-    } else if (arg.rfind("--batch=", 0) == 0) {
-      const auto value = parse_uint(arg.substr(8));
-      if (!value || *value < 1 ||
-          *value > std::numeric_limits<int>::max()) {
-        *error = "--batch expects an integer >= 1, got '" +
-                 std::string(arg.substr(8)) + "'";
-        return std::nullopt;
-      }
-      args.batch = static_cast<int>(*value);
-    } else if (arg == "--batch") {
-      // The value is attached (--batch=N), matching --no-batch's shape; a
-      // detached value would make `--batch --fast` ambiguous.
-      *error = "--batch requires an attached value: --batch=N";
-      return std::nullopt;
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      const auto value = parse_uint(arg.substr(9));
-      if (!value || *value < 1 ||
-          *value > std::numeric_limits<int>::max()) {
-        *error = "--shards expects an integer >= 1, got '" +
-                 std::string(arg.substr(9)) + "'";
-        return std::nullopt;
-      }
-      args.shards = static_cast<int>(*value);
-    } else if (arg == "--shards") {
-      *error = "--shards requires an attached value: --shards=N";
-      return std::nullopt;
-    } else if (arg.rfind("--proxy-cost=", 0) == 0) {
-      const auto value = parse_uint(arg.substr(13));
-      if (!value || *value > std::numeric_limits<int>::max()) {
-        *error = "--proxy-cost expects an integer >= 0 (microseconds), got '" +
-                 std::string(arg.substr(13)) + "'";
-        return std::nullopt;
-      }
-      args.proxy_cost_us = static_cast<int>(*value);
-    } else if (arg == "--proxy-cost") {
-      *error = "--proxy-cost requires an attached value: --proxy-cost=US";
-      return std::nullopt;
+    } else if (arg.starts_with(kShardsFlag.name)) {
+      const auto value = take_attached_int(arg, kShardsFlag, error);
+      if (!value) return std::nullopt;
+      args.shards = *value;
+    } else if (arg.starts_with(kProxyCostFlag.name)) {
+      const auto value = take_attached_int(arg, kProxyCostFlag, error);
+      if (!value) return std::nullopt;
+      args.proxy_cost_us = *value;
     } else if (arg == "--reps") {
       const auto value = take_int_value(argc, argv, i, arg, 1, error);
       if (!value) return std::nullopt;
@@ -124,7 +133,7 @@ std::string bench_usage(std::string_view argv0) {
   usage += argv0;
   usage +=
       " [--reps N] [--fast] [--jobs N] [--json PATH] [--profile]\n"
-      "       [--batch=N] [--no-batch] [--shards=N] [--proxy-cost=US]\n"
+      "       [--shards=N] [--proxy-cost=US]\n"
       "  --reps N     repetitions per configuration (default: the paper's "
       "count)\n"
       "  --fast       shrink durations/repetitions for smoke runs\n"
@@ -135,9 +144,6 @@ std::string bench_usage(std::string_view argv0) {
       "  --profile    self-profile every cell (flight recorder + timers);\n"
       "               adds a deterministic `profile` block to the JSON and\n"
       "               a wall-time table on stderr; results are unchanged\n"
-      "  --batch=N    events per dispatch batch / arrivals per client block\n"
-      "               (default 64); results are byte-identical for every N\n"
-      "  --no-batch   per-event dispatch (equivalent to --batch=1)\n"
       "  --shards=N   simulator shards for the conservative-lookahead\n"
       "               parallel engine (default 1); results are\n"
       "               byte-identical for every N\n"

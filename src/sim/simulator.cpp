@@ -3,6 +3,7 @@
 #include "l3/obs/recorder.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 namespace l3::sim {
@@ -92,7 +93,7 @@ std::size_t Simulator::run_until(SimTime end) {
       // so no move-out is needed. Order is identical to the per-event loop;
       // the empty/min_time probes and obs records amortize over the batch.
       batch = queue_.dispatch_batch(
-          end, dispatch_batch_, [this](SimTime t, EventFn& fn) {
+          end, kDispatchBatch, [this](SimTime t, EventFn& fn) {
             now_ = t;
             fn();
             return !stop_requested_;
@@ -114,10 +115,12 @@ bool Simulator::step() {
   if (queue_.empty()) return false;
   {
     L3_OBS_SCOPE_SAMPLED(obs_dispatch, kSimDispatch);
-    queue_.dispatch_min([this](SimTime t, EventFn& fn) {
-      now_ = t;
-      fn();
-    });
+    queue_.dispatch_batch(std::numeric_limits<SimTime>::infinity(), 1,
+                          [this](SimTime t, EventFn& fn) {
+                            now_ = t;
+                            fn();
+                            return true;
+                          });
   }
   ++executed_;
   L3_OBS_COUNT(kSimEvents, 1);

@@ -9,6 +9,14 @@
 
 namespace l3::workload {
 
+namespace {
+/// Arrival times pre-generated per refill, so the gap recurrence (rate
+/// lookup + exponential draw) runs as a tight loop instead of being
+/// re-entered once per dispatched event. Any block size yields the same
+/// arrivals: the recurrence consumes the same draws in the same order.
+constexpr std::size_t kArrivalBlock = 64;
+}  // namespace
+
 OpenLoopClient::OpenLoopClient(mesh::Mesh& mesh, mesh::ClusterId source,
                                std::string service, RpsFn rps, SplitRng rng,
                                Config config)
@@ -64,8 +72,7 @@ void OpenLoopClient::refill_arrivals(SimTime from) {
   // the draw interleaving stays exactly as the per-event loop produced it.
   const bool interleaved_draws =
       config_.poisson && config_.mode == CallMode::kLocalDirect;
-  const std::size_t block =
-      interleaved_draws ? 1 : std::max<std::size_t>(1, config_.arrival_batch);
+  const std::size_t block = interleaved_draws ? 1 : kArrivalBlock;
   SimTime t = from;
   for (std::size_t i = 0; i < block; ++i) {
     // Identical arithmetic to the old per-event step: `t` is exactly the

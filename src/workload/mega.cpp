@@ -74,7 +74,6 @@ struct ShardState {
         root(cfg.seed),
         mesh(sim, root.split("mesh"), make_mesh_config(cfg, eng.router(shard))) {
     router.attach(sim);
-    sim.set_dispatch_batch(cfg.dispatch_batch);
     for (std::size_t r = 0; r < cfg.regions; ++r) {
       mesh.add_cluster("region-" + std::to_string(r));
     }
@@ -141,12 +140,10 @@ struct ShardState {
       controller->manage(*mesh.find_split(region, "api"));
       controller->start();
 
-      OpenLoopClient::Config cc;
-      cc.arrival_batch = config.dispatch_batch;
       auto client = std::make_unique<OpenLoopClient>(
           mesh, region, "api",
           [rps = config.rps_per_region](SimTime) { return rps; },
-          root.split("client@" + name), cc);
+          root.split("client@" + name));
       client->start(0.0, config.duration);
 
       if (config.chaos && region % 7 == 3) {

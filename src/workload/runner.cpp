@@ -67,7 +67,6 @@ RunResult run_scenario_with(const ScenarioTrace& trace,
                             : trace.duration();
 
   sim::Simulator sim;
-  sim.set_dispatch_batch(config.dispatch_batch);
 
   // Self-observation: bind a flight recorder to this (simulation) thread for
   // the lifetime of the run. The instrumentation macros only read thread-
@@ -155,7 +154,6 @@ RunResult run_scenario_with(const ScenarioTrace& trace,
   client_config.poisson = config.poisson_arrivals;
   client_config.max_retries = config.client_retries;
   client_config.retry_backoff = config.retry_backoff;
-  client_config.arrival_batch = config.dispatch_batch;
   OpenLoopClient client(
       mesh, c1, service,
       [&trace, t0](SimTime t) { return trace.rps_at(std::max(0.0, t - t0)); },

@@ -2,9 +2,13 @@
 
 #include "l3/common/assert.h"
 
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <iomanip>
 #include <sstream>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 namespace l3::workload {
@@ -18,10 +22,21 @@ std::vector<std::string> split_line(const std::string& line, char sep) {
   return out;
 }
 
-double parse_double(const std::string& s) {
-  std::size_t pos = 0;
-  const double v = std::stod(s, &pos);
-  L3_EXPECTS(pos == s.size());
+/// Parses all of `s` as a T with std::from_chars: no locale, no leading
+/// whitespace or sign for unsigned counts, and a ContractViolation (never
+/// a std exception) on anything else, including out-of-range values.
+template <typename T>
+T parse_whole(std::string_view s) {
+  T v{};
+  const char* const end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  L3_EXPECTS(ec == std::errc{} && ptr == end);
+  return v;
+}
+
+double parse_finite(std::string_view s) {
+  const double v = parse_whole<double>(s);
+  L3_EXPECTS(std::isfinite(v));
   return v;
 }
 
@@ -69,32 +84,42 @@ ScenarioTrace load_trace_csv(std::istream& is) {
     return kv.substr(prefix.size());
   };
   const auto clusters =
-      static_cast<std::size_t>(std::stoul(kv_value(clusters_kv, "clusters")));
-  const double duration = parse_double(kv_value(duration_kv, "duration"));
-  const double dt = parse_double(kv_value(dt_kv, "dt"));
-
-  ScenarioTrace trace(name, clusters, duration, dt);
+      parse_whole<std::size_t>(kv_value(clusters_kv, "clusters"));
+  const double duration = parse_finite(kv_value(duration_kv, "duration"));
+  const double dt = parse_finite(kv_value(dt_kv, "dt"));
 
   std::string columns;
   L3_EXPECTS(static_cast<bool>(std::getline(is, columns)));  // column header
 
-  std::string line;
-  std::size_t step = 0;
-  while (std::getline(is, line)) {
+  // Every data row is read before the trace is sized from the header: the
+  // cluster count must match each row's width and the step count the
+  // number of rows, so neither can ask for more than the file holds (nor
+  // reach the size_t cast of duration / dt with an out-of-range ratio).
+  std::vector<std::vector<std::string>> rows;
+  for (std::string line; std::getline(is, line);) {
     if (line.empty()) continue;
-    L3_EXPECTS(step < trace.steps());
-    const auto fields = split_line(line, ',');
-    L3_EXPECTS(fields.size() == 2 + 3 * clusters);
-    trace.set_rps(step, parse_double(fields[1]));
+    rows.push_back(split_line(line, ','));
+    const std::size_t width = rows.back().size();
+    L3_EXPECTS(width >= 2 && (width - 2) % 3 == 0 &&
+               (width - 2) / 3 == clusters);
+  }
+  const double steps = duration / dt;
+  const auto row_count = static_cast<double>(rows.size());
+  L3_EXPECTS(steps >= row_count && steps < row_count + 1.0);
+
+  ScenarioTrace trace(name, clusters, duration, dt);
+  for (std::size_t step = 0; step < rows.size(); ++step) {
+    const auto& fields = rows[step];
+    trace.set_rps(step, parse_finite(fields[1]));
     for (std::size_t c = 0; c < clusters; ++c) {
       TracePoint& p = trace.at(c, step);
-      p.median = parse_double(fields[2 + 3 * c]);
-      p.p99 = parse_double(fields[3 + 3 * c]);
-      p.success_rate = parse_double(fields[4 + 3 * c]);
+      p.median = parse_finite(fields[2 + 3 * c]);
+      p.p99 = parse_finite(fields[3 + 3 * c]);
+      p.success_rate = parse_finite(fields[4 + 3 * c]);
+      L3_EXPECTS(p.median >= 0.0 && p.p99 >= 0.0);
+      L3_EXPECTS(p.success_rate >= 0.0 && p.success_rate <= 1.0);
     }
-    ++step;
   }
-  L3_ENSURES(step == trace.steps());
   return trace;
 }
 

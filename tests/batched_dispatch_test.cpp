@@ -1,29 +1,33 @@
-// Batched dispatch equivalence tests.
+// Batched dispatch tests.
 //
-// The dispatch-batch contract is that batching is a pure caller-overhead
-// optimization: EventQueue::dispatch_batch pops events in exactly the order
-// the per-event loop would, and a full scenario run produces a
-// byte-identical request trace at every batch size. These tests pin that at
-// both layers — the queue primitive directly, and end-to-end trace hashes
-// across scenarios 1-5 plus a chaos plan at batch sizes 1 (the unbatched
-// baseline), 7 (misaligned with everything) and 64 (the default).
+// Simulator::run_until drains the event queue in batches of a fixed 64
+// (EventQueue::dispatch_batch). Batching is a pure caller-overhead saving:
+// dispatch_batch pops events in exactly the order repeated pop_min() calls
+// would, so a full scenario run yields the same request trace as a strictly
+// per-event loop. These tests pin that at both layers — the queue primitive
+// directly, and end-to-end trace hashes across scenarios 1-5, Poisson
+// arrivals with retries, and a chaos plan. Each golden was recorded with
+// the per-event loop (batch 1) and with batches of 7 and 64 before the
+// batch size became a constant; all three gave the same hash. See
+// sim_determinism_test.cpp before re-recording one.
 #include "l3/sim/event.h"
 #include "l3/workload/runner.h"
 #include "l3/workload/scenarios.h"
 
+#include "trace_hash.h"
+
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
 #include <limits>
 #include <vector>
 
 namespace l3 {
 namespace {
 
-// --- EventQueue::dispatch_batch against the per-event loop ---------------
+// --- EventQueue::dispatch_batch against pop_min ---------------------------
 
-TEST(DispatchBatch, PopsInSameOrderAsDispatchMin) {
+TEST(DispatchBatch, PopsInSameOrderAsPopMin) {
   sim::EventQueue batched;
   sim::EventQueue serial;
   std::vector<int> batched_order;
@@ -37,9 +41,7 @@ TEST(DispatchBatch, PopsInSameOrderAsDispatchMin) {
     serial.push(t, seq, [&serial_order, id] { serial_order.push_back(id); });
     ++seq;
   }
-  while (!serial.empty()) {
-    serial.dispatch_min([](SimTime, sim::EventFn& fn) { fn(); });
-  }
+  while (!serial.empty()) serial.pop_min().fn();
   while (!batched.empty()) {
     batched.dispatch_batch(std::numeric_limits<SimTime>::infinity(), 3,
                            [](SimTime, sim::EventFn& fn) {
@@ -105,135 +107,82 @@ TEST(DispatchBatch, SinkReturningFalseEndsBatchAfterThatEvent) {
   EXPECT_EQ(queue.size(), 3u);
 }
 
-// --- End-to-end: batch size never changes the trace ----------------------
+// --- End-to-end: pinned trace hashes ------------------------------------
 
 namespace w = workload;
+using test_util::trace_hash;
 
-std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
+constexpr std::uint64_t kGoldenScenario1 = 0xc9586e0c4aa158ebull;
+constexpr std::uint64_t kGoldenScenario2 = 0xf24bc89bff68a149ull;
+constexpr std::uint64_t kGoldenScenario3 = 0x1df9c3c56bccf47full;
+constexpr std::uint64_t kGoldenScenario4 = 0x35ff38cc45e0eb37ull;
+constexpr std::uint64_t kGoldenScenario5 = 0xfd2bcf59dc725d13ull;
+constexpr std::uint64_t kGoldenPoissonRetries = 0x4b8b4e3a8ba5c7b8ull;
+constexpr std::uint64_t kGoldenChaosPlan = 0xc2a0c935e1516c8eull;
 
-std::uint64_t mix_u64(std::uint64_t h, std::uint64_t v) {
-  return fnv1a(h, &v, sizeof(v));
-}
-
-std::uint64_t mix_f64(std::uint64_t h, double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return mix_u64(h, bits);
-}
-
-/// Same digest as sim_determinism_test: any reordered event, shifted
-/// timestamp or changed routing decision perturbs it.
-std::uint64_t trace_hash(const w::RunResult& r) {
-  std::uint64_t h = 1469598103934665603ull;
-  h = mix_u64(h, r.requests);
-  h = mix_u64(h, r.weight_updates);
-  h = mix_f64(h, r.mean_attempts);
-  h = mix_u64(h, r.summary.count);
-  h = mix_f64(h, r.summary.success_rate);
-  h = mix_f64(h, r.summary.latency.mean);
-  h = mix_f64(h, r.summary.latency.p50);
-  h = mix_f64(h, r.summary.latency.p99);
-  h = mix_f64(h, r.summary.latency.max);
-  h = mix_f64(h, r.summary.success_latency.mean);
-  h = mix_f64(h, r.summary.success_latency.p99);
-  for (const double share : r.traffic_share) h = mix_f64(h, share);
-  for (const auto& bucket : r.timeline) {
-    h = mix_f64(h, bucket.start);
-    h = mix_u64(h, bucket.count);
-    h = mix_f64(h, bucket.p50);
-    h = mix_f64(h, bucket.p99);
-    h = mix_f64(h, bucket.success_rate);
-    h = mix_f64(h, bucket.rps);
-  }
-  return h;
-}
-
-w::RunnerConfig batch_config(std::size_t dispatch_batch) {
+w::RunnerConfig base_config() {
   w::RunnerConfig config;
   config.seed = 42;
   config.warmup = 10.0;
   config.duration = 20.0;
-  config.dispatch_batch = dispatch_batch;
   return config;
 }
 
-/// Runs `trace` at batch sizes 1, 7 and 64 and requires identical hashes.
-void expect_batch_invariant(const w::ScenarioTrace& trace,
-                            w::PolicyKind policy,
-                            w::RunnerConfig (*make)(std::size_t)) {
-  const auto unbatched = w::run_scenario(trace, policy, make(1));
-  const std::uint64_t expected = trace_hash(unbatched);
-  ASSERT_GT(unbatched.requests, 100u) << "scenario produced no real load";
-  for (std::size_t batch : {7u, 64u}) {
-    const auto batched = w::run_scenario(trace, policy, make(batch));
-    EXPECT_EQ(trace_hash(batched), expected) << "batch=" << batch;
-  }
+void expect_golden(const w::ScenarioTrace& trace, w::PolicyKind policy,
+                   const w::RunnerConfig& config, std::uint64_t golden) {
+  const auto result = w::run_scenario(trace, policy, config);
+  ASSERT_GT(result.requests, 100u) << "scenario produced no real load";
+  EXPECT_EQ(trace_hash(result), golden)
+      << "trace hash changed: 0x" << std::hex << trace_hash(result);
 }
 
 TEST(BatchedTraceIdentity, Scenario1) {
-  expect_batch_invariant(w::make_scenario1(1), w::PolicyKind::kL3,
-                         &batch_config);
+  expect_golden(w::make_scenario1(1), w::PolicyKind::kL3, base_config(),
+                kGoldenScenario1);
 }
 
 TEST(BatchedTraceIdentity, Scenario2) {
-  expect_batch_invariant(w::make_scenario2(2), w::PolicyKind::kL3,
-                         &batch_config);
+  expect_golden(w::make_scenario2(2), w::PolicyKind::kL3, base_config(),
+                kGoldenScenario2);
 }
 
 TEST(BatchedTraceIdentity, Scenario3) {
-  expect_batch_invariant(w::make_scenario3(3), w::PolicyKind::kL3,
-                         &batch_config);
+  expect_golden(w::make_scenario3(3), w::PolicyKind::kL3, base_config(),
+                kGoldenScenario3);
 }
 
 TEST(BatchedTraceIdentity, Scenario4) {
-  expect_batch_invariant(w::make_scenario4(4), w::PolicyKind::kL3,
-                         &batch_config);
+  expect_golden(w::make_scenario4(4), w::PolicyKind::kL3, base_config(),
+                kGoldenScenario4);
 }
 
 TEST(BatchedTraceIdentity, Scenario5) {
-  expect_batch_invariant(w::make_scenario5(5), w::PolicyKind::kL3,
-                         &batch_config);
+  expect_golden(w::make_scenario5(5), w::PolicyKind::kL3, base_config(),
+                kGoldenScenario5);
 }
 
 TEST(BatchedTraceIdentity, PoissonArrivalsWithRetries) {
-  // Poisson + kViaSplit: the arrival pregeneration path with real gap draws
-  // on the client stream, plus the retry path.
-  auto make = [](std::size_t batch) {
-    auto config = batch_config(batch);
-    config.poisson_arrivals = true;
-    config.client_retries = 1;
-    return config;
-  };
-  const auto trace = w::make_failure1(6);
-  const auto unbatched = w::run_scenario(trace, w::PolicyKind::kC3, make(1));
-  const auto batched = w::run_scenario(trace, w::PolicyKind::kC3, make(64));
-  EXPECT_EQ(trace_hash(batched), trace_hash(unbatched));
+  // Poisson + kViaSplit: the client pre-generates arrival blocks with real
+  // gap draws on its stream, plus the retry path.
+  auto config = base_config();
+  config.poisson_arrivals = true;
+  config.client_retries = 1;
+  expect_golden(w::make_failure1(6), w::PolicyKind::kC3, config,
+                kGoldenPoissonRetries);
 }
 
 TEST(BatchedTraceIdentity, ChaosPlan) {
   // Every fault kind active: crash/restart, brownout, partition, scrape
-  // outage, controller pause — batching must not shift a single transition.
-  auto make = [](std::size_t batch) {
-    auto config = batch_config(batch);
-    config.health_probe_interval = 0.0;
-    config.faults.crash("api", 1, 5.0, 10.0)
-        .brownout(0, 2, 8.0, 10.0, 0.050)
-        .partition(0, 1, 18.0, 6.0)
-        .scrape_outage(22.0, 5.0)
-        .controller_pause(25.0, 4.0);
-    return config;
-  };
-  const auto trace = w::make_scenario1(1);
-  const auto unbatched = w::run_scenario(trace, w::PolicyKind::kL3, make(1));
-  const auto batched = w::run_scenario(trace, w::PolicyKind::kL3, make(64));
-  EXPECT_EQ(trace_hash(batched), trace_hash(unbatched));
+  // outage, controller pause.
+  auto config = base_config();
+  config.health_probe_interval = 0.0;
+  config.faults.crash("api", 1, 5.0, 10.0)
+      .brownout(0, 2, 8.0, 10.0, 0.050)
+      .partition(0, 1, 18.0, 6.0)
+      .scrape_outage(22.0, 5.0)
+      .controller_pause(25.0, 4.0);
+  expect_golden(w::make_scenario1(1), w::PolicyKind::kL3, config,
+                kGoldenChaosPlan);
 }
 
 }  // namespace

@@ -125,49 +125,16 @@ TEST(BenchArgsTest, RejectsUnknownFlags) {
   EXPECT_NE(error.find("--frobnicate"), std::string::npos);
 }
 
-TEST(BenchArgsTest, BatchDefaultsToDispatchBatch) {
-  const auto args = parse({});
-  ASSERT_TRUE(args.has_value());
-  EXPECT_EQ(args->batch, 64);
-}
-
-TEST(BenchArgsTest, ParsesBatchValue) {
-  const auto args = parse({"--batch=16"});
-  ASSERT_TRUE(args.has_value());
-  EXPECT_EQ(args->batch, 16);
-}
-
-TEST(BenchArgsTest, NoBatchRestoresPerEventLoop) {
-  const auto args = parse({"--no-batch"});
-  ASSERT_TRUE(args.has_value());
-  EXPECT_EQ(args->batch, 1);
-}
-
-TEST(BenchArgsTest, BatchComposesWithOtherFlags) {
-  const auto args = parse({"--fast", "--batch=8", "--jobs", "2"});
-  ASSERT_TRUE(args.has_value());
-  EXPECT_TRUE(args->fast);
-  EXPECT_EQ(args->batch, 8);
-  EXPECT_EQ(args->jobs, 2);
-}
-
-TEST(BenchArgsTest, RejectsInvalidBatchValues) {
-  for (const char* bad : {"--batch=0", "--batch=", "--batch=abc",
-                          "--batch=-4", "--batch=3.5",
-                          "--batch=99999999999999999999"}) {
+TEST(BenchArgsTest, RejectsRemovedBatchFlags) {
+  // The event batch is a constant of the simulator now; the old knobs must
+  // fail loudly instead of being silently accepted.
+  for (const char* removed : {"--batch=16", "--no-batch"}) {
     std::string error;
-    EXPECT_FALSE(parse({bad}, &error).has_value()) << bad;
-    EXPECT_NE(error.find("--batch"), std::string::npos) << bad;
+    EXPECT_FALSE(parse({removed}, &error).has_value()) << removed;
+    EXPECT_EQ(error, "unknown argument '" + std::string(removed) + "'");
   }
-}
-
-TEST(BenchArgsTest, RejectsDetachedBatchValue) {
-  // Strict form is --batch=N; a bare --batch (with or without a following
-  // token) must not silently parse.
-  std::string error;
-  EXPECT_FALSE(parse({"--batch"}, &error).has_value());
-  EXPECT_NE(error.find("--batch"), std::string::npos);
-  EXPECT_FALSE(parse({"--batch", "16"}).has_value());
+  const std::string usage = bench_usage("bench");
+  EXPECT_EQ(usage.find("batch"), std::string::npos);
 }
 
 TEST(BenchArgsTest, UsageMentionsEveryFlag) {
@@ -177,8 +144,6 @@ TEST(BenchArgsTest, UsageMentionsEveryFlag) {
   EXPECT_NE(usage.find("--jobs"), std::string::npos);
   EXPECT_NE(usage.find("--json"), std::string::npos);
   EXPECT_NE(usage.find("--profile"), std::string::npos);
-  EXPECT_NE(usage.find("--batch=N"), std::string::npos);
-  EXPECT_NE(usage.find("--no-batch"), std::string::npos);
   EXPECT_NE(usage.find("--shards=N"), std::string::npos);
   EXPECT_NE(usage.find("--proxy-cost=US"), std::string::npos);
 }
@@ -243,12 +208,12 @@ TEST(BenchArgsTest, ParsesShardsValue) {
 
 TEST(BenchArgsTest, ShardsComposesWithOtherFlags) {
   const auto args =
-      parse({"--fast", "--shards=2", "--jobs", "3", "--batch=8"});
+      parse({"--fast", "--shards=2", "--jobs", "3", "--profile"});
   ASSERT_TRUE(args.has_value());
   EXPECT_TRUE(args->fast);
   EXPECT_EQ(args->shards, 2);
   EXPECT_EQ(args->jobs, 3);
-  EXPECT_EQ(args->batch, 8);
+  EXPECT_TRUE(args->profile);
 }
 
 TEST(BenchArgsTest, RejectsInvalidShardsValues) {
@@ -266,6 +231,24 @@ TEST(BenchArgsTest, RejectsDetachedShardsValue) {
   EXPECT_FALSE(parse({"--shards"}, &error).has_value());
   EXPECT_NE(error.find("--shards"), std::string::npos);
   EXPECT_FALSE(parse({"--shards", "4"}).has_value());
+}
+
+TEST(BenchArgsTest, AttachedFlagErrorsNameTheFlag) {
+  const auto error_of = [](const char* arg) {
+    std::string error;
+    EXPECT_FALSE(parse({arg}, &error).has_value()) << arg;
+    return error;
+  };
+  EXPECT_EQ(error_of("--shards"),
+            "--shards requires an attached value: --shards=N");
+  EXPECT_EQ(error_of("--shards=0"),
+            "--shards expects an integer >= 1, got '0'");
+  EXPECT_EQ(error_of("--proxy-cost"),
+            "--proxy-cost requires an attached value: --proxy-cost=US");
+  EXPECT_EQ(error_of("--proxy-cost=-5"),
+            "--proxy-cost expects an integer >= 0 (microseconds), got '-5'");
+  // A longer spelling that merely starts with a flag's name is unknown.
+  EXPECT_EQ(error_of("--shardsX=2"), "unknown argument '--shardsX=2'");
 }
 
 }  // namespace

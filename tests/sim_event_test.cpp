@@ -1,9 +1,10 @@
 // Tests for the event-core building blocks: EventFn small-buffer semantics
 // and the EventQueue's (time, seq) pop order. The queue cases run against a
 // reference model (an ordered set of (time, seq) pairs) and pop through
-// all three paths — pop_min, dispatch_min and dispatch_batch — so edge-of-
-// range times, out-of-order seqs, slot-pool growth, clear() and deep drains
-// are each checked for the exact order and the right callable.
+// both paths — pop_min and dispatch_batch, unbounded (as Simulator::step
+// calls it) and bounded at the expected time (as run_until does) — so
+// edge-of-range times, out-of-order seqs, slot-pool growth, clear() and
+// deep drains are each checked for the exact order and the right callable.
 #include "l3/sim/event.h"
 
 #include "l3/sim/simulator.h"
@@ -150,8 +151,9 @@ TEST(EventQueue, PopMovesCallableOut) {
 
 // An EventQueue next to a reference model: every push goes to both, and
 // every pop must return the model's minimum (time, seq) and run the
-// callable pushed with it. Pops rotate through pop_min(), dispatch_min()
-// and a one-event dispatch_batch() bounded exactly at the expected time.
+// callable pushed with it. Pops rotate through pop_min(), an unbounded
+// one-event dispatch_batch() and a one-event dispatch_batch() bounded
+// exactly at the expected time.
 class ModelChecker {
  public:
   void push(double time, std::uint64_t seq) {
@@ -166,6 +168,11 @@ class ModelChecker {
     ASSERT_EQ(q_.size(), ref_.size() + 1);
     ASSERT_TRUE(same_bits(q_.min_time(), time));
     invoked_seq_ = ~0ull;
+    const auto sink = [&](SimTime t, EventFn& fn) {
+      EXPECT_TRUE(same_bits(t, time));
+      fn();
+      return true;
+    };
     switch (pops_++ % 3) {
       case 0: {
         Event ev = q_.pop_min();
@@ -175,17 +182,11 @@ class ModelChecker {
         break;
       }
       case 1:
-        q_.dispatch_min([&](SimTime t, EventFn& fn) {
-          EXPECT_TRUE(same_bits(t, time));
-          fn();
-        });
+        ASSERT_EQ(q_.dispatch_batch(std::numeric_limits<double>::infinity(),
+                                    1, sink),
+                  1u);
         break;
       default: {
-        const auto sink = [&](SimTime t, EventFn& fn) {
-          EXPECT_TRUE(same_bits(t, time));
-          fn();
-          return true;
-        };
         if (time > -std::numeric_limits<double>::infinity()) {
           const double before =
               std::nextafter(time, -std::numeric_limits<double>::infinity());

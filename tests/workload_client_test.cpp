@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
+#include <string>
+#include <vector>
 
 namespace l3::workload {
 namespace {
@@ -136,6 +140,55 @@ TEST_F(ClientTest, NoRetriesByDefault) {
   const auto s = summarize_records(client.records());
   EXPECT_NEAR(s.success_rate, 0.5, 0.06);
   for (const auto& r : client.records()) EXPECT_EQ(r.attempts, 1);
+}
+
+/// The per-event arrival recurrence the client's pre-generated blocks must
+/// reproduce: fire at `begin`, then draw one gap per arrival at the current
+/// rate, and stop at the first draw that crosses `end`.
+std::vector<SimTime> reference_arrivals(const OpenLoopClient::RpsFn& rps,
+                                        SplitRng rng, bool poisson,
+                                        SimTime begin, SimTime end) {
+  std::vector<SimTime> out{begin};
+  for (SimTime t = begin;;) {
+    const double rate = std::max(0.1, rps(t));
+    t += poisson ? rng.exponential(rate) : 1.0 / rate;
+    if (t >= end) return out;
+    out.push_back(t);
+  }
+}
+
+TEST_F(ClientTest, ArrivalBlocksMatchPerEventRecurrence) {
+  // Rates of a few hundred RPS over windows of 0.05-1.2 s give from a few
+  // to several hundred arrivals: runs that end inside the first block, on
+  // later blocks, and across many block boundaries.
+  const OpenLoopClient::RpsFn rps = [](SimTime t) {
+    return std::fmod(t, 1.0) < 0.5 ? 300.0 : 700.0;
+  };
+  for (const bool poisson : {true, false}) {
+    for (int i = 0; i < 24; ++i) {
+      const SimTime begin = sim.now();
+      const SimTime end = begin + 0.05 + 0.05 * i;
+      OpenLoopClient::Config config;
+      config.poisson = poisson;
+      const SplitRng stream = rng.split("arrivals-" + std::to_string(i));
+      OpenLoopClient client(mesh, c1, "svc", rps, stream, config);
+      client.start(begin, end);
+      sim.run_until(end + 1.0);
+
+      const auto expected =
+          reference_arrivals(rps, stream, poisson, begin, end);
+      ASSERT_EQ(client.completed(), client.sent());
+      std::vector<SimTime> sent;
+      for (const auto& r : client.records()) sent.push_back(r.sent);
+      std::sort(sent.begin(), sent.end());
+      ASSERT_EQ(sent.size(), expected.size())
+          << "poisson=" << poisson << " case " << i;
+      for (std::size_t k = 0; k < sent.size(); ++k) {
+        ASSERT_EQ(sent[k], expected[k])
+            << "poisson=" << poisson << " case " << i << " arrival " << k;
+      }
+    }
+  }
 }
 
 TEST(Timeline, AggregatesPerBucket) {

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <utility>
 
 namespace l3::workload {
 namespace {
@@ -57,6 +59,55 @@ TEST(TraceIo, RejectsWrongColumnCount) {
       "t,rps,c0_median,c0_p99,c0_success,c1_median,c1_p99,c1_success\n"
       "0,100,0.01,0.05,1.0\n");  // missing cluster-1 columns
   EXPECT_THROW(load_trace_csv(bad), ContractViolation);
+}
+
+/// A one-cluster, one-step trace whose header carries `clusters` and whose
+/// only data row is `row`.
+std::string one_step_csv(const std::string& clusters, const std::string& row) {
+  return "# scenario x clusters=" + clusters + " duration=1 dt=1\n" +
+         "t,rps,c0_median,c0_p99,c0_success\n" + row + "\n";
+}
+
+TEST(TraceIo, AcceptsBoundaryValues) {
+  std::stringstream ok(one_step_csv("1", "0,100,0,0,0"));
+  EXPECT_EQ(load_trace_csv(ok).at(0, 0).success_rate, 0.0);
+  std::stringstream one(one_step_csv("1", "0,100,0.01,0.05,1"));
+  EXPECT_EQ(load_trace_csv(one).at(0, 0).success_rate, 1.0);
+}
+
+TEST(TraceIo, RejectsMalformedFields) {
+  // Each case must raise ContractViolation, never a std exception from a
+  // number parser and never load silently.
+  const std::pair<const char*, std::string> cases[] = {
+      {"non-numeric rps", one_step_csv("1", "0,abc,0.01,0.05,1")},
+      {"overflowing rps", one_step_csv("1", "0,1e999,0.01,0.05,1")},
+      {"non-numeric cluster count", one_step_csv("abc", "0,100,0.01,0.05,1")},
+      {"negative cluster count", one_step_csv("-3", "0,100,0.01,0.05,1")},
+      {"trailing garbage", one_step_csv("1", "0,100,0.01x,0.05,1")},
+      {"negative success rate", one_step_csv("1", "0,100,0.01,0.05,-3")},
+      {"success rate above one", one_step_csv("1", "0,100,0.01,0.05,1.5")},
+      {"negative median", one_step_csv("1", "0,100,-0.01,0.05,1")},
+      {"negative p99", one_step_csv("1", "0,100,0.01,-0.05,1")},
+      {"negative rps", one_step_csv("1", "0,-100,0.01,0.05,1")},
+      {"infinite latency", one_step_csv("1", "0,100,inf,0.05,1")},
+      {"NaN success rate", one_step_csv("1", "0,100,0.01,0.05,nan")},
+      {"NaN duration",
+       "# scenario x clusters=1 duration=nan dt=1\n"
+       "t,rps,c0_median,c0_p99,c0_success\n0,100,0.01,0.05,1\n"},
+      // Sizes the file cannot back: must be refused before any allocation.
+      {"huge cluster count",
+       one_step_csv("18446744073709551615", "0,100,0.01,0.05,1")},
+      {"more steps than rows",
+       "# scenario x clusters=1 duration=1e12 dt=1\n"
+       "t,rps,c0_median,c0_p99,c0_success\n0,100,0.01,0.05,1\n"},
+      {"step count beyond size_t",
+       "# scenario x clusters=1 duration=1e300 dt=1e-300\n"
+       "t,rps,c0_median,c0_p99,c0_success\n0,100,0.01,0.05,1\n"},
+  };
+  for (const auto& [label, csv] : cases) {
+    std::stringstream in(csv);
+    EXPECT_THROW(load_trace_csv(in), ContractViolation) << label;
+  }
 }
 
 TEST(TraceIo, RejectsTruncatedFile) {
