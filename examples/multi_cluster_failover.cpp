@@ -108,7 +108,7 @@ int main() {
               << fmt_percent(bucket.success_rate, 2) << "    "
               << fmt_ms(bucket.p99, 1) << "\n";
   }
-  const auto summary = workload::summarize_records(client.records());
+  const auto summary = workload::summarize_records(client.records(), 0.0);
   std::cout << "\noverall success rate: "
             << fmt_percent(summary.success_rate, 2) << " %, leader is now "
             << (election.is_leader(id_primary) ? "l3-0" : "l3-1") << "\n"

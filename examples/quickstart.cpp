@@ -69,13 +69,14 @@ l3::workload::ClientSummary run(std::unique_ptr<l3::lb::LoadBalancingPolicy> pol
   sim.run_until(330.0);
 
   // Report: drop the first 60 s as warm-up.
-  const auto records = client.records_after(60.0);
+  constexpr l3::SimTime kWarmup = 60.0;
+  const auto records = client.records_after(kWarmup);
   if (traffic_share) {
     traffic_share->assign(3, 0.0);
     for (const auto& r : records) (*traffic_share)[r.backend_cluster] += 1.0;
     for (auto& s : *traffic_share) s /= static_cast<double>(records.size());
   }
-  return workload::summarize_records(records);
+  return workload::summarize_records(records, kWarmup);
 }
 
 }  // namespace

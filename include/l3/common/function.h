@@ -20,6 +20,7 @@
 #include "l3/common/assert.h"
 
 #include <cstddef>
+#include <functional>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -31,6 +32,15 @@ class SmallFn;  // primary template: only R(Args...) is specialized
 
 template <typename R, typename... Args, std::size_t Capacity>
 class SmallFn<R(Args...), Capacity> {
+  /// Whether `F` is a callable the converting constructor and emplace()
+  /// take: anything invocable as R(Args...) other than a SmallFn of this
+  /// type (moved, not wrapped) or nullptr (the empty state).
+  template <typename F>
+  static constexpr bool kAccepts =
+      !std::is_same_v<std::decay_t<F>, SmallFn> &&
+      !std::is_same_v<std::decay_t<F>, std::nullptr_t> &&
+      std::is_invocable_r_v<R, std::decay_t<F>&, Args...>;
+
  public:
   /// Captures up to this many bytes (with alignment <= 8) live inline.
   static constexpr std::size_t kInlineCapacity = Capacity;
@@ -38,22 +48,20 @@ class SmallFn<R(Args...), Capacity> {
   SmallFn() noexcept = default;
   SmallFn(std::nullptr_t) noexcept {}  // NOLINT(google-explicit-constructor)
 
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, SmallFn> &&
-                !std::is_same_v<std::decay_t<F>, std::nullptr_t> &&
-                std::is_invocable_r_v<R, std::decay_t<F>&, Args...>>>
+  template <typename F, typename = std::enable_if_t<kAccepts<F>>>
   SmallFn(F&& f) {  // NOLINT(google-explicit-constructor): drop-in for
                     // std::function at call sites.
-    using D = std::decay_t<F>;
-    if constexpr (fits_inline<D>()) {
-      ::new (static_cast<void*>(storage_.buf)) D(std::forward<F>(f));
-      ops_ = &kInlineOps<D>;
-    } else {
-      storage_.ptr = new D(std::forward<F>(f));
-      ops_ = &kHeapOps<D>;
-    }
-    static_assert(sizeof(D) > 0, "callable must be complete");
+    construct(std::forward<F>(f));
+  }
+
+  /// Destroys the held callable (if any), then constructs `f` directly in
+  /// this SmallFn's storage — inline or on the heap by the same rule as the
+  /// converting constructor — with no intermediate SmallFn to relocate.
+  /// If the construction throws, this SmallFn is left empty.
+  template <typename F, typename = std::enable_if_t<kAccepts<F>>>
+  void emplace(F&& f) {
+    reset();
+    construct(std::forward<F>(f));
   }
 
   SmallFn(SmallFn&& other) noexcept : ops_(other.ops_) {
@@ -134,6 +142,27 @@ class SmallFn<R(Args...), Capacity> {
     bool trivial;
   };
 
+  /// Constructs `f` into storage_, which holds no live object. A null
+  /// function or member pointer is rejected here rather than crashing when
+  /// invoked. (A function reference, which decays to a pointer too, can
+  /// never be null.)
+  template <typename F>
+  void construct(F&& f) {
+    using D = std::decay_t<F>;
+    using P = std::remove_cvref_t<F>;
+    static_assert(sizeof(D) > 0, "callable must be complete");
+    if constexpr (std::is_pointer_v<P> || std::is_member_pointer_v<P>) {
+      L3_EXPECTS(f != nullptr);
+    }
+    if constexpr (fits_inline<D>()) {
+      ::new (static_cast<void*>(storage_.buf)) D(std::forward<F>(f));
+      ops_ = &kInlineOps<D>;
+    } else {
+      storage_.ptr = new D(std::forward<F>(f));
+      ops_ = &kHeapOps<D>;
+    }
+  }
+
   /// Shared tail of move construction/assignment; assumes ops_ was copied
   /// from `other` and own storage holds no live object.
   void relocate_from(SmallFn& other) noexcept {
@@ -147,6 +176,17 @@ class SmallFn<R(Args...), Capacity> {
     }
   }
 
+  /// std::invoke, so member pointers are callables too; a void R discards
+  /// whatever the callable returns.
+  template <typename D>
+  static R call(D& d, Args&&... args) {
+    if constexpr (std::is_void_v<R>) {
+      std::invoke(d, std::forward<Args>(args)...);
+    } else {
+      return std::invoke(d, std::forward<Args>(args)...);
+    }
+  }
+
   template <typename D>
   static D* inline_object(Storage& s) noexcept {
     return std::launder(reinterpret_cast<D*>(s.buf));
@@ -156,7 +196,7 @@ class SmallFn<R(Args...), Capacity> {
   static constexpr Ops make_inline_ops() {
     return Ops{
         [](Storage& s, Args&&... args) -> R {
-          return (*inline_object<D>(s))(std::forward<Args>(args)...);
+          return call(*inline_object<D>(s), std::forward<Args>(args)...);
         },
         [](Storage& dst, Storage& src) noexcept {
           D* obj = inline_object<D>(src);
@@ -174,7 +214,7 @@ class SmallFn<R(Args...), Capacity> {
   static constexpr Ops make_heap_ops() {
     return Ops{
         [](Storage& s, Args&&... args) -> R {
-          return (*static_cast<D*>(s.ptr))(std::forward<Args>(args)...);
+          return call(*static_cast<D*>(s.ptr), std::forward<Args>(args)...);
         },
         [](Storage& dst, Storage& src) noexcept { dst.ptr = src.ptr; },
         [](Storage& s) noexcept { delete static_cast<D*>(s.ptr); },

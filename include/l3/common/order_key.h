@@ -1,5 +1,6 @@
-// Order-preserving integer keys for doubles, shared by the radix sort in
-// common/stats.cpp and the event queue's (time, seq) keys in sim/event.h.
+// Order-preserving integer keys for doubles, shared by the quantile
+// selection in common/stats.cpp and the event queue's (time, seq) keys in
+// sim/event.h.
 #pragma once
 
 #include <bit>

@@ -9,7 +9,7 @@
 //   * Self-profiler — scoped wall-clock timers over the simulator's own hot
 //     paths (event dispatch, picker rebuilds, picks, TSDB writes/compacts,
 //     scraper snapshots, controller manage, chaos transitions, timeout-ring
-//     sweeps) aggregating into per-subsystem summaries via the radix-sort
+//     sweeps) aggregating into per-subsystem summaries via the selection
 //     percentile machinery (common/stats.h).
 //
 // Threading/determinism contract: a Recorder is written through thread-local
@@ -148,7 +148,7 @@ static_assert(sizeof(RtEvent) <= 24, "RtEvent must stay small and POD");
 struct RecorderConfig {
   /// Ring capacity per domain (events kept; older entries overwritten).
   std::size_t ring_capacity = 1024;
-  /// Bounded per-scope wall-sample buffer feeding the radix summaries; when
+  /// Bounded per-scope wall-sample buffer feeding the summaries; when
   /// full the buffer decimates (keeps every other sample, doubles the
   /// stride) so memory stays fixed while coverage stays uniform.
   std::size_t max_wall_samples = 2048;
@@ -174,7 +174,7 @@ struct Snapshot {
     std::uint64_t timed = 0;        ///< entries that took a wall timestamp
     double wall_ns_total = 0.0;     ///< audit-only
     double wall_ns_max = 0.0;       ///< audit-only
-    LatencySummary wall_ns;         ///< radix-summarized timed samples
+    LatencySummary wall_ns;         ///< summary of the timed samples
   };
   struct Counter {
     std::string_view name;

@@ -32,6 +32,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -43,6 +44,25 @@ namespace l3::sim {
 /// callback types (l3/mesh/types.h) so a completion callback plus a scalar
 /// still schedules inline.
 using EventFn = common::SmallFn<void(), 48>;
+
+/// What the scheduling entry points (EventQueue::push, Simulator::
+/// schedule_at/schedule_after/schedule_delivered, ShardRouter::post) take:
+/// an EventFn rvalue, or any other callable an EventFn can hold. An lvalue
+/// EventFn is not one: it must be moved in explicitly.
+template <typename F>
+concept EventCallable =
+    std::is_constructible_v<EventFn, F> &&
+    !std::is_same_v<std::remove_cvref_t<F>, std::nullptr_t>;
+
+/// The emptiness precondition of the scheduling entry points: an EventFn
+/// must hold a callable. Any other callable is checked as it is built
+/// (SmallFn rejects a null function or member pointer).
+template <typename F>
+void expect_callable(const F& fn) {
+  if constexpr (std::is_same_v<F, EventFn>) {
+    L3_EXPECTS(static_cast<bool>(fn));
+  }
+}
 
 /// One popped event. `seq` breaks timestamp ties FIFO, which is what makes
 /// equal-time events fire in scheduling order (the determinism contract).
@@ -63,11 +83,13 @@ struct Event {
 /// returned, as the same instant +0.0.
 ///
 /// The EventFns sit in a chunked slot pool on the side, their indices
-/// recycled through a free list; a callable is moved exactly once in its
-/// queue lifetime (in at push — dispatch_batch() invokes it in place; only
-/// pop_min() moves it out). Steady state runs allocation-free: pool and
-/// heap high-watermark at the maximum number of concurrently pending
-/// events.
+/// recycled through a free list. A callable is built once, in its slot, by
+/// push() — the scheduling entry points above it forward the caller's
+/// closure by reference, so from call site to dispatch it is moved exactly
+/// once (an EventFn argument is moved in instead) — and dispatch_batch()
+/// invokes it in place; only pop_min() moves it out. Steady state runs
+/// allocation-free: pool and heap high-watermark at the maximum number of
+/// concurrently pending events.
 class EventQueue {
  public:
   bool empty() const noexcept { return heap_.empty(); }
@@ -79,24 +101,35 @@ class EventQueue {
     return time_of(heap_.front());
   }
 
-  void push(SimTime time, std::uint64_t seq, EventFn fn) {
+  /// Queues `fn` at (time, seq). An EventFn argument is move-assigned
+  /// into its pool slot; any other callable is built in the slot
+  /// (EventFn::emplace) and never relocated. If building it throws, the
+  /// queue is left unchanged.
+  template <EventCallable F>
+  void push(SimTime time, std::uint64_t seq, F&& fn) {
     L3_EXPECTS(!std::isnan(time));
     L3_EXPECTS(seq <= kMaxSeq);
-    std::uint32_t slot;
-    if (free_slots_.empty()) {
-      slot = slot_count_;
-      L3_EXPECTS(slot <= kSlotMask);
-      if ((slot_count_ >> kChunkShift) == chunks_.size()) {
-        chunks_.emplace_back(new EventFn[kChunkSize]);
-      }
-      ++slot_count_;
-    } else {
-      slot = free_slots_.back();
-      free_slots_.pop_back();
-    }
-    slot_ref(slot) = std::move(fn);
+    // The slot is claimed only once the callable is in it.
+    const bool reuse = !free_slots_.empty();
+    const std::uint32_t slot = reuse ? free_slots_.back() : new_slot();
     const Key key = (Key{time_key(time)} << 64) | (seq << kSlotBits) | slot;
     heap_.push_back(key);
+    EventFn& dst = slot_ref(slot);
+    if constexpr (std::is_same_v<std::remove_cvref_t<F>, EventFn>) {
+      dst = std::forward<F>(fn);
+    } else {
+      try {
+        dst.emplace(std::forward<F>(fn));
+      } catch (...) {
+        heap_.pop_back();
+        throw;
+      }
+    }
+    if (reuse) {
+      free_slots_.pop_back();
+    } else {
+      ++slot_count_;
+    }
     sift_up(key);
   }
 
@@ -242,6 +275,17 @@ class EventQueue {
   // never relocate live slots the way a flat vector's reallocation would.
   static constexpr std::size_t kChunkShift = 8;
   static constexpr std::size_t kChunkSize = 1u << kChunkShift;
+
+  /// The next never-used slot index, with its chunk allocated; the caller
+  /// claims it by bumping slot_count_.
+  std::uint32_t new_slot() {
+    const std::uint32_t slot = slot_count_;
+    L3_EXPECTS(slot <= kSlotMask);
+    if ((slot >> kChunkShift) == chunks_.size()) {
+      chunks_.push_back(std::make_unique<EventFn[]>(kChunkSize));
+    }
+    return slot;
+  }
 
   EventFn& slot_ref(std::uint32_t slot) noexcept {
     return chunks_[slot >> kChunkShift][slot & (kChunkSize - 1)];

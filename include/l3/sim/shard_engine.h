@@ -90,8 +90,21 @@ class ShardRouter {
   /// lookahead is registered for the pair (always required cross-shard —
   /// this is the conservative bound the barrier leans on), else
   /// `time >= now`.
+  ///
+  /// A same-shard callable is forwarded to schedule_delivered() and built
+  /// in its queue slot; a cross-shard one is built into a ShardMessage.
+  template <EventCallable F>
   void post(std::uint32_t origin, std::uint32_t target, SimTime time,
-            EventFn fn);
+            F&& fn) {
+    expect_callable(fn);
+    const PostKey key = claim_post(origin, target, time);
+    if (key.target_shard == shard_) {
+      sim_->schedule_delivered(time, origin, key.seq, std::forward<F>(fn));
+    } else {
+      staging_[key.target_shard].post(
+          ShardMessage{time, origin, key.seq, EventFn(std::forward<F>(fn))});
+    }
+  }
 
   /// Runs this shard's simulator to `end` under the conservative barrier:
   /// repeatedly acquires a safe horizon, drains + commits inbox messages,
@@ -108,6 +121,15 @@ class ShardRouter {
 
  private:
   friend class ShardEngine;
+
+  struct PostKey {
+    std::size_t target_shard;
+    std::uint32_t seq;
+  };
+  /// post()'s routing half: checks its preconditions, then takes the next
+  /// origin seq and resolves the target's shard.
+  PostKey claim_post(std::uint32_t origin, std::uint32_t target,
+                     SimTime time);
 
   /// Drains the inbox and commits every message into the simulator under
   /// its origin key. Commit order is irrelevant — the EventQueue orders by

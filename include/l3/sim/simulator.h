@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 
 namespace l3::sim {
 
@@ -78,12 +79,24 @@ class Simulator {
   /// Current simulated time in seconds.
   SimTime now() const { return now_; }
 
-  /// Schedules `fn` at absolute time `t` (>= now).
-  void schedule_at(SimTime t, EventFn fn);
+  /// Schedules `fn` at absolute time `t` (>= now). The callable is
+  /// forwarded to the queue and built in its pool slot (EventQueue::push).
+  template <EventCallable F>
+  void schedule_at(SimTime t, F&& fn) {
+    L3_EXPECTS(t >= now_);
+    expect_callable(fn);
+    // Local seqs must stay below the delivered-seq band so cross-shard
+    // deliveries order after local events at equal timestamps (~5.5e11
+    // locally scheduled events before this would trip).
+    L3_EXPECTS(next_seq_ < kDeliveredSeqBase);
+    queue_.push(t, next_seq_, std::forward<F>(fn));
+    ++next_seq_;
+  }
 
   /// Schedules `fn` after `delay` (>= 0) seconds.
-  void schedule_after(SimDuration delay, EventFn fn) {
-    schedule_at(now_ + delay, std::move(fn));
+  template <EventCallable F>
+  void schedule_after(SimDuration delay, F&& fn) {
+    schedule_at(now_ + delay, std::forward<F>(fn));
   }
 
   /// Schedules a cross-shard delivery at absolute time `t` (>= now) under a
@@ -96,8 +109,19 @@ class Simulator {
   /// (kDeliveredSeqBase), so at equal timestamps local events fire first;
   /// that too is partition-invariant. Requires `origin_cluster` < 2^8 and
   /// `origin_seq` < 2^31.
+  template <EventCallable F>
   void schedule_delivered(SimTime t, std::uint32_t origin_cluster,
-                          std::uint32_t origin_seq, EventFn fn);
+                          std::uint32_t origin_seq, F&& fn) {
+    L3_EXPECTS(t >= now_);
+    expect_callable(fn);
+    L3_EXPECTS(origin_cluster < (1u << kDeliveredClusterBits));
+    L3_EXPECTS(origin_seq < (1u << kDeliveredSeqBits));
+    const std::uint64_t seq = kDeliveredSeqBase |
+                              (static_cast<std::uint64_t>(origin_cluster)
+                               << kDeliveredSeqBits) |
+                              origin_seq;
+    queue_.push(t, seq, std::forward<F>(fn));
+  }
 
   /// Local seqs live strictly below this; delivered seqs at/above it.
   static constexpr std::uint64_t kDeliveredSeqBase = 1ull << 39;

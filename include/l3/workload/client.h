@@ -120,7 +120,9 @@ struct TimelineBucket {
   double rps = 0.0;
 };
 
-/// Buckets records into fixed windows over [t0, t1).
+/// Buckets records into fixed windows over [t0, t1) by send time; records
+/// outside it are skipped. Each bucket's p50/p99 is selected on the order
+/// keys of its latencies, counting-sorted by bucket into one flat buffer.
 std::vector<TimelineBucket> aggregate_timeline(
     std::span<const RequestRecord> records, SimTime t0, SimTime t1,
     SimDuration bucket = 1.0);
@@ -133,6 +135,10 @@ struct ClientSummary {
   std::size_t count = 0;
 };
 
-ClientSummary summarize_records(std::span<const RequestRecord> records);
+/// Summarizes the records sent at or after `from` (e.g. past the warm-up),
+/// in place: one pass filters them and builds the order keys of the all
+/// and success samples, whose quantiles are then selected, not sorted.
+ClientSummary summarize_records(std::span<const RequestRecord> records,
+                                SimTime from);
 
 }  // namespace l3::workload

@@ -8,7 +8,9 @@
 # jobs-invariance smoke diffs on figure benches (plain, chaos, the DSB call
 # graph, and --profile), a --proxy-cost=0 zero-cost identity diff,
 # shard-invariance smoke diffs (--shards=2/4 vs the serial
-# run, plain and chaos), an L3_OBS=OFF byte-identical golden, a
+# run, plain and chaos), the seed-42 ledger digest gate (bench/ledger, one
+# Release rep per workload against pinned digests), an L3_OBS=OFF
+# byte-identical golden, a
 # Release-mode bench/sim_core smoke run (writes BENCH_sim_core.json and
 # re-renders the README table from it), the
 # flight-recorder overhead gate, the request-path pick-throughput gate, the
@@ -157,6 +159,40 @@ if [[ " ${presets[*]} " == *" default "* ]]; then
       --json "$smoke_dir/cs2.json" > "$smoke_dir/cs2.out"
   same fig11_failure_latency.j1 cs2
   echo "    byte-identical at --shards=1 and --shards=2 under chaos"
+
+  # Ledger digest gate: one Release rep of every performance-ledger
+  # workload (bench/ledger) at the default seed 42 must reproduce the pinned
+  # result digests, so a change that moves any simulated result on the
+  # benchmark workloads fails here instead of in a hand check. A deliberate
+  # golden rebase (ROADMAP item 3) is the one change that re-pins them.
+  echo "==> [ledger] seed-42 ledger digest gate (all workloads)"
+  cmake -S bench/ledger -B build-ledger -DCMAKE_BUILD_TYPE=Release >/dev/null
+  cmake --build build-ledger -j "$(nproc)" --target l3_ledger
+  ./build-ledger/l3_ledger --workload=all --reps=1 --seconds=1 --trace=0 \
+      --json="$smoke_dir/ledger.json" > /dev/null 2> "$smoke_dir/ledger.err" \
+    || { cat "$smoke_dir/ledger.err"; echo "FAIL: l3_ledger exited non-zero"
+         exit 1; }
+  python3 - "$smoke_dir/ledger.json" <<'PY'
+import json
+import sys
+
+pinned = {
+    "fig10": "c674e04166e9a63c",
+    "hotel": "acca8b3481600d6a",
+    "mega": "3778ea40350c8781",
+    "mega-sharded": "3778ea40350c8781",
+    "chaos-costed": "5574d5df323a8fea",
+}
+with open(sys.argv[1]) as f:
+    workloads = json.load(f)["workloads"]
+bad = [f"{name}: {workloads.get(name, {}).get('digest')} != pinned {want}"
+       for name, want in pinned.items()
+       if workloads.get(name, {}).get("digest") != want]
+if bad:
+    print("FAIL: ledger digests moved:\n  " + "\n  ".join(bad))
+    sys.exit(1)
+print("    all five ledger digests match their pinned values")
+PY
 
   # L3_OBS=OFF zero-cost check: compiling the instrumentation out must not
   # change a single byte of bench stdout or report JSON (the macros carry no

@@ -7,102 +7,95 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 namespace l3 {
 namespace {
 
-/// The sample's order keys, radix-sorted ascending. Individual order
-/// statistics convert back through key_to_double on demand — quantile
-/// readers only touch a handful of positions, so the full convert-back
-/// pass a sorted double vector would need is never paid.
-class SortedKeys {
- public:
-  /// Byte-wise LSD radix sort. Produces exactly the order std::sort would
-  /// on the doubles (the key mapping is a strictly monotone bijection),
-  /// but in O(n) passes of sequential traffic instead of n·log n branchy
-  /// comparisons — the comparison sort was the dominant cost of
-  /// summarizing a full scenario's ~67k latencies. Uniform digit
-  /// positions (common in the exponent bytes of same-scale samples) are
-  /// skipped outright. Scratch is raw arrays, not vectors: every element
-  /// is overwritten before it is read, so value-initialization would be
-  /// two pure-overhead memsets.
-  explicit SortedKeys(std::span<const double> values)
-      : n_(values.size()),
-        a_(new std::uint64_t[n_]),
-        b_(new std::uint64_t[n_]) {
-    std::uint64_t* src = a_.get();
-    std::uint64_t* dst = b_.get();
-    for (std::size_t i = 0; i < n_; ++i) src[i] = order_key(values[i]);
-    std::array<std::array<std::uint32_t, 256>, 8> hist{};
-    for (std::size_t i = 0; i < n_; ++i) {
-      const std::uint64_t k = src[i];
-      for (std::size_t d = 0; d < 8; ++d) ++hist[d][(k >> (8 * d)) & 255];
-    }
-    for (std::size_t d = 0; d < 8; ++d) {
-      const auto& h = hist[d];
-      const std::size_t shift = 8 * d;
-      // A digit position where every key agrees changes nothing.
-      if (h[(src[0] >> shift) & 255] == n_) continue;
-      std::array<std::uint32_t, 256> offset;
-      std::uint32_t sum = 0;
-      for (std::size_t j = 0; j < 256; ++j) {
-        offset[j] = sum;
-        sum += h[j];
-      }
-      for (std::size_t i = 0; i < n_; ++i) {
-        dst[offset[(src[i] >> shift) & 255]++] = src[i];
-      }
-      std::swap(src, dst);
-    }
-    sorted_ = src;
+/// Most quantiles key_percentiles() takes in one call.
+constexpr std::size_t kMaxQuantiles = 8;
+
+/// Where the q-quantile of n >= 2 sorted values is read: interpolated
+/// between ranks lo and hi by frac (a sample of one is its own quantile).
+/// Every quantile reader here goes through this and interpolate(), so all
+/// of them round alike.
+struct QuantilePos {
+  std::size_t lo;
+  std::size_t hi;
+  double frac;
+
+  double interpolate(double at_lo, double at_hi) const {
+    return at_lo * (1.0 - frac) + at_hi * frac;
   }
-
-  /// The i-th smallest sample value.
-  double at(std::size_t i) const { return key_to_double(sorted_[i]); }
-
-  /// Same interpolation as percentile_sorted on the sorted doubles; the
-  /// key mapping round-trips exactly, so the result is bit-identical.
-  double quantile(double q) const {
-    const double pos = q * static_cast<double>(n_ - 1);
-    const auto lo = static_cast<std::size_t>(pos);
-    const auto hi = std::min(lo + 1, n_ - 1);
-    const double frac = pos - static_cast<double>(lo);
-    return at(lo) * (1.0 - frac) + at(hi) * frac;
-  }
-
- private:
-  std::size_t n_;
-  std::unique_ptr<std::uint64_t[]> a_;
-  std::unique_ptr<std::uint64_t[]> b_;
-  std::uint64_t* sorted_;
 };
 
-/// Below this the comparison sort wins on cache residency and the radix
-/// machinery's fixed costs dominate (measured crossover ~2k).
-constexpr std::size_t kRadixThreshold = 2048;
+QuantilePos quantile_pos(std::size_t n, double q) {
+  const double pos = q * static_cast<double>(n - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  return {lo, std::min(lo + 1, n - 1), pos - static_cast<double>(lo)};
+}
+
+/// Selects, in place, the ranks each quantile in `qs` reads and the last
+/// rank (the maximum): afterwards keys[r] is the r-th smallest key for
+/// every such r. The ranks go in ascending order. Once nth_element has
+/// placed rank r, nothing above r is smaller, so the next search runs only
+/// on the tail above r; a rank at the head of that tail is just its
+/// minimum. Writes each quantile, read by percentile_sorted()'s formula,
+/// to `out`. The key mapping round-trips exactly, so the result is
+/// bit-identical to percentile_sorted() on the sorted values.
+void select_quantiles(std::span<std::uint64_t> keys,
+                      std::span<const double> qs, double* out) {
+  L3_EXPECTS(qs.size() <= kMaxQuantiles);
+  const std::size_t n = keys.size();
+  L3_EXPECTS(n > 0);
+  std::array<QuantilePos, kMaxQuantiles> pos;
+  std::array<std::size_t, 2 * kMaxQuantiles + 1> ranks;
+  std::size_t m = 0;
+  for (std::size_t i = 0; i < qs.size(); ++i) {
+    L3_EXPECTS(qs[i] >= 0.0 && qs[i] <= 1.0);
+    pos[i] = quantile_pos(n, qs[i]);
+    ranks[m++] = pos[i].lo;
+    ranks[m++] = pos[i].hi;
+  }
+  ranks[m++] = n - 1;
+  std::sort(ranks.begin(), ranks.begin() + static_cast<std::ptrdiff_t>(m));
+  auto first = keys.begin();
+  for (std::size_t j = 0; j < m; ++j) {
+    const auto nth = keys.begin() + static_cast<std::ptrdiff_t>(ranks[j]);
+    if (nth < first) continue;  // a repeated rank, already in place
+    if (nth == first) {
+      std::iter_swap(first, std::min_element(first, keys.end()));
+    } else {
+      std::nth_element(first, nth, keys.end());
+    }
+    first = nth + 1;
+  }
+  for (std::size_t i = 0; i < qs.size(); ++i) {
+    out[i] = n == 1 ? key_to_double(keys[0])
+                    : pos[i].interpolate(key_to_double(keys[pos[i].lo]),
+                                         key_to_double(keys[pos[i].hi]));
+  }
+}
 
 }  // namespace
 
 double percentile(std::span<const double> values, double q) {
   L3_EXPECTS(q >= 0.0 && q <= 1.0);
   if (values.empty()) return 0.0;
-  if (values.size() >= kRadixThreshold) return SortedKeys(values).quantile(q);
-  std::vector<double> sorted(values.begin(), values.end());
-  std::sort(sorted.begin(), sorted.end());
-  return percentile_sorted(sorted, q);
+  std::vector<std::uint64_t> keys;
+  keys.reserve(values.size());
+  for (const double v : values) keys.push_back(order_key(v));
+  double out;
+  select_quantiles(keys, {&q, 1}, &out);
+  return out;
 }
 
 double percentile_sorted(std::span<const double> sorted, double q) {
   L3_EXPECTS(q >= 0.0 && q <= 1.0);
   if (sorted.empty()) return 0.0;
   if (sorted.size() == 1) return sorted.front();
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const auto hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+  const QuantilePos p = quantile_pos(sorted.size(), q);
+  return p.interpolate(sorted[p.lo], sorted[p.hi]);
 }
 
 double percentile_select(std::span<double> values, double q) {
@@ -112,14 +105,12 @@ double percentile_select(std::span<double> values, double q) {
   // percentile_sorted() interpolates between the lo-th and (lo+1)-th order
   // statistics. nth_element places the lo-th and leaves only values >= it
   // after it, so the (lo+1)-th is the smallest of that tail.
-  const double pos = q * static_cast<double>(values.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const double frac = pos - static_cast<double>(lo);
-  const auto nth = values.begin() + static_cast<std::ptrdiff_t>(lo);
+  const QuantilePos p = quantile_pos(values.size(), q);
+  const auto nth = values.begin() + static_cast<std::ptrdiff_t>(p.lo);
   std::nth_element(values.begin(), nth, values.end());
-  const double hi =
-      lo + 1 < values.size() ? *std::min_element(nth + 1, values.end()) : *nth;
-  return *nth * (1.0 - frac) + hi * frac;
+  const double hi = p.hi > p.lo ? *std::min_element(nth + 1, values.end())
+                                : *nth;
+  return p.interpolate(*nth, hi);
 }
 
 double mean(std::span<const double> values) {
@@ -138,29 +129,43 @@ double stddev(std::span<const double> values) {
 }
 
 LatencySummary summarize(std::span<const double> values) {
-  LatencySummary s;
-  s.count = values.size();
-  if (values.empty()) return s;
-  s.mean = mean(values);
-  if (values.size() >= kRadixThreshold) {
-    const SortedKeys keys(values);
-    s.p50 = keys.quantile(0.50);
-    s.p90 = keys.quantile(0.90);
-    s.p95 = keys.quantile(0.95);
-    s.p99 = keys.quantile(0.99);
-    s.p999 = keys.quantile(0.999);
-    s.max = keys.at(values.size() - 1);
-    return s;
+  std::vector<std::uint64_t> keys;
+  keys.reserve(values.size());
+  double sum = 0.0;
+  for (const double v : values) {
+    keys.push_back(order_key(v));
+    sum += v;
   }
-  std::vector<double> sorted(values.begin(), values.end());
-  std::sort(sorted.begin(), sorted.end());
-  s.p50 = percentile_sorted(sorted, 0.50);
-  s.p90 = percentile_sorted(sorted, 0.90);
-  s.p95 = percentile_sorted(sorted, 0.95);
-  s.p99 = percentile_sorted(sorted, 0.99);
-  s.p999 = percentile_sorted(sorted, 0.999);
-  s.max = sorted.back();
+  return summarize_keys(keys, sum);
+}
+
+LatencySummary summarize_keys(std::span<std::uint64_t> keys, double sum) {
+  LatencySummary s;
+  s.count = keys.size();
+  if (keys.empty()) return s;
+  s.mean = sum / static_cast<double>(keys.size());
+  static constexpr std::array<double, 5> kQs = {0.50, 0.90, 0.95, 0.99,
+                                                0.999};
+  std::array<double, kQs.size()> q;
+  select_quantiles(keys, kQs, q.data());
+  s.p50 = q[0];
+  s.p90 = q[1];
+  s.p95 = q[2];
+  s.p99 = q[3];
+  s.p999 = q[4];
+  s.max = key_to_double(keys.back());
   return s;
+}
+
+void key_percentiles(std::span<std::uint64_t> keys,
+                     std::span<const double> qs, std::span<double> out) {
+  L3_EXPECTS(out.size() == qs.size());
+  if (keys.empty()) {
+    for (const double q : qs) L3_EXPECTS(q >= 0.0 && q <= 1.0);
+    std::fill(out.begin(), out.end(), 0.0);
+    return;
+  }
+  select_quantiles(keys, qs, out.data());
 }
 
 }  // namespace l3

@@ -119,10 +119,9 @@ workload::RunResult run_app(workload::PolicyKind kind,
   workload::RunResult result;
   result.policy = std::string(workload::policy_name(kind));
   result.scenario = scenario_label;
-  const auto records = client.records_after(t0);
-  result.summary = workload::summarize_records(records);
-  result.timeline = workload::aggregate_timeline(records, t0, t1);
-  result.requests = records.size();
+  result.summary = workload::summarize_records(client.records(), t0);
+  result.timeline = workload::aggregate_timeline(client.records(), t0, t1);
+  result.requests = result.summary.count;
   result.weight_updates = mesh.control_plane().updates_applied();
   result.traffic_share.assign(mesh.clusters().size(), 0.0);
   if (recorder) {

@@ -50,10 +50,10 @@ void pin_to_cpu(std::thread& t, std::size_t cpu) {
 // ---------------------------------------------------------------------------
 // ShardRouter
 
-void ShardRouter::post(std::uint32_t origin, std::uint32_t target,
-                       SimTime time, EventFn fn) {
+ShardRouter::PostKey ShardRouter::claim_post(std::uint32_t origin,
+                                             std::uint32_t target,
+                                             SimTime time) {
   L3_EXPECTS(sim_ != nullptr);
-  L3_EXPECTS(static_cast<bool>(fn));
   L3_EXPECTS(engine_->owner(origin) == shard_);
   L3_EXPECTS(origin < next_seq_.size());
   const SimDuration la = engine_->cluster_lookahead(origin, target);
@@ -68,13 +68,7 @@ void ShardRouter::post(std::uint32_t origin, std::uint32_t target,
     L3_EXPECTS(target_shard == shard_);
     L3_EXPECTS(time >= sim_->now());
   }
-  const std::uint32_t seq = next_seq_[origin]++;
-  if (target_shard == shard_) {
-    sim_->schedule_delivered(time, origin, seq, std::move(fn));
-  } else {
-    staging_[target_shard].post(ShardMessage{time, origin, seq,
-                                             std::move(fn)});
-  }
+  return PostKey{target_shard, next_seq_[origin]++};
 }
 
 void ShardRouter::drain_commit() {

@@ -12,29 +12,6 @@ Simulator::Simulator() : log_bind_(log_context_) {
   log_context_.set_time_provider([this] { return now_; });
 }
 
-void Simulator::schedule_at(SimTime t, EventFn fn) {
-  L3_EXPECTS(t >= now_);
-  L3_EXPECTS(static_cast<bool>(fn));
-  // Local seqs must stay below the delivered-seq band so cross-shard
-  // deliveries order after local events at equal timestamps (~5.5e11
-  // locally scheduled events before this would trip).
-  L3_EXPECTS(next_seq_ < kDeliveredSeqBase);
-  queue_.push(t, next_seq_++, std::move(fn));
-}
-
-void Simulator::schedule_delivered(SimTime t, std::uint32_t origin_cluster,
-                                   std::uint32_t origin_seq, EventFn fn) {
-  L3_EXPECTS(t >= now_);
-  L3_EXPECTS(static_cast<bool>(fn));
-  L3_EXPECTS(origin_cluster < (1u << kDeliveredClusterBits));
-  L3_EXPECTS(origin_seq < (1u << kDeliveredSeqBits));
-  const std::uint64_t seq = kDeliveredSeqBase |
-                            (static_cast<std::uint64_t>(origin_cluster)
-                             << kDeliveredSeqBits) |
-                            origin_seq;
-  queue_.push(t, seq, std::move(fn));
-}
-
 PeriodicHandle Simulator::schedule_every(SimDuration interval, EventFn fn,
                                          SimDuration initial_delay) {
   L3_EXPECTS(interval > 0.0);

@@ -1,10 +1,13 @@
 #include "l3/workload/client.h"
 
 #include "l3/common/assert.h"
+#include "l3/common/order_key.h"
 #include "l3/trace/tracer.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <utility>
 
 namespace l3::workload {
@@ -186,69 +189,82 @@ std::vector<TimelineBucket> aggregate_timeline(
     SimDuration bucket) {
   L3_EXPECTS(t1 > t0 && bucket > 0.0);
   const auto n = static_cast<std::size_t>(std::ceil((t1 - t0) / bucket));
-  // Two passes: count first so each bucket's latency vector is allocated
-  // exactly once, then fill. Records arrive roughly in bucket order, so
-  // both passes stream sequentially.
-  std::vector<std::vector<double>> latencies(n);
+  // The record's bucket, or n when it falls outside [t0, t1).
+  const auto bucket_of = [&](const RequestRecord& r) {
+    if (r.sent < t0 || r.sent >= t1) return n;
+    return std::min(static_cast<std::size_t>((r.sent - t0) / bucket), n);
+  };
+  // Counting sort of the latencies' order keys by bucket into one flat
+  // buffer, each bucket's keys one contiguous run: `edge` holds the
+  // buckets' counts, then (prefix-summed) the starts of their runs, and
+  // after the scatter in record order, the ends.
+  std::vector<std::size_t> edge(n, 0);
   std::vector<std::size_t> successes(n, 0);
-  std::vector<std::size_t> counts(n, 0);
   for (const auto& r : records) {
-    if (r.sent < t0 || r.sent >= t1) continue;
-    const auto i = static_cast<std::size_t>((r.sent - t0) / bucket);
-    if (i >= n) continue;
-    counts[i] += 1;
+    const std::size_t i = bucket_of(r);
+    if (i == n) continue;
+    edge[i] += 1;
     if (r.success) successes[i] += 1;
   }
-  for (std::size_t i = 0; i < n; ++i) latencies[i].reserve(counts[i]);
+  std::size_t total = 0;
+  for (std::size_t& e : edge) total += std::exchange(e, total);
+  std::vector<std::uint64_t> keys(total);
   for (const auto& r : records) {
-    if (r.sent < t0 || r.sent >= t1) continue;
-    const auto i = static_cast<std::size_t>((r.sent - t0) / bucket);
-    if (i >= n) continue;
-    latencies[i].push_back(r.latency);
+    const std::size_t i = bucket_of(r);
+    if (i != n) keys[edge[i]++] = order_key(r.latency);
   }
   std::vector<TimelineBucket> out(n);
+  static constexpr std::array<double, 2> kQs = {0.50, 0.99};
   for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t begin = i == 0 ? 0 : edge[i - 1];
+    const std::size_t count = edge[i] - begin;
     out[i].start = t0 + static_cast<double>(i) * bucket;
-    out[i].count = counts[i];
-    out[i].rps = static_cast<double>(counts[i]) / bucket;
-    if (counts[i] > 0) {
-      // Select the two order statistics each quantile interpolates instead
-      // of sorting the bucket: same values, same interpolation, so the
-      // result is bit-identical (the golden traces hash these).
-      out[i].p50 = percentile_select(latencies[i], 0.50);
-      out[i].p99 = percentile_select(latencies[i], 0.99);
+    out[i].count = count;
+    out[i].rps = static_cast<double>(count) / bucket;
+    if (count > 0) {
+      std::array<double, kQs.size()> q;
+      key_percentiles(std::span(keys).subspan(begin, count), kQs, q);
+      out[i].p50 = q[0];
+      out[i].p99 = q[1];
       out[i].success_rate =
-          static_cast<double>(successes[i]) / static_cast<double>(counts[i]);
+          static_cast<double>(successes[i]) / static_cast<double>(count);
     }
   }
   return out;
 }
 
-ClientSummary summarize_records(std::span<const RequestRecord> records) {
-  ClientSummary s;
-  s.count = records.size();
-  if (records.empty()) return s;
-  std::vector<double> all;
+ClientSummary summarize_records(std::span<const RequestRecord> records,
+                                SimTime from) {
+  // One pass builds the order keys and sums of both samples. The ok sample
+  // equals the all sample until the first failure, so its keys are copied
+  // over only then; a run with no failure never builds them.
+  std::vector<std::uint64_t> all;
+  std::vector<std::uint64_t> ok;
   all.reserve(records.size());
-  std::size_t successes = 0;
+  double all_sum = 0.0;
+  double ok_sum = 0.0;
+  bool failed = false;
   for (const auto& r : records) {
-    all.push_back(r.latency);
-    if (r.success) ++successes;
-  }
-  s.latency = summarize(all);
-  if (successes == records.size()) {
-    // Every request succeeded: the success sample is `all` again.
-    s.success_latency = s.latency;
-  } else {
-    std::vector<double> ok;
-    ok.reserve(successes);
-    for (const auto& r : records) {
-      if (r.success) ok.push_back(r.latency);
+    if (r.sent < from) continue;
+    const std::uint64_t key = order_key(r.latency);
+    all.push_back(key);
+    all_sum += r.latency;
+    if (r.success) {
+      if (failed) ok.push_back(key);
+      ok_sum += r.latency;
+    } else if (!failed) {
+      failed = true;
+      ok.assign(all.begin(), all.end() - 1);
     }
-    s.success_latency = summarize(ok);
   }
+  ClientSummary s;
+  s.count = all.size();
+  if (all.empty()) return s;
+  const std::size_t successes = failed ? ok.size() : all.size();
   s.success_rate =
-      static_cast<double>(successes) / static_cast<double>(records.size());
+      static_cast<double>(successes) / static_cast<double>(all.size());
+  s.latency = summarize_keys(all, all_sum);
+  s.success_latency = failed ? summarize_keys(ok, ok_sum) : s.latency;
   return s;
 }
 

@@ -198,7 +198,8 @@ struct ShardState {
     audit_task.cancel();
     for (std::size_t i = 0; i < owned.size(); ++i) {
       const mesh::ClusterId region = owned[i];
-      const ClientSummary summary = summarize_records(clients[i]->records());
+      const ClientSummary summary =
+          summarize_records(clients[i]->records(), 0.0);
       MegaRegionResult& out = slots[region];
       out.requests = clients[i]->completed();
       out.success_rate = summary.success_rate;

@@ -194,23 +194,26 @@ RunResult run_scenario_with(const ScenarioTrace& trace,
   RunResult result;
   result.policy = policy_label;
   result.scenario = trace.name();
-  const auto records = client.records_after(t0);
-  result.summary = summarize_records(records);
+  // Everything below reads the client's records in place; the warm-up
+  // (sent < t0) is filtered as they are read.
+  const std::span<const RequestRecord> records = client.records();
+  result.summary = summarize_records(records, t0);
   result.timeline = aggregate_timeline(records, t0, t1);
-  result.requests = records.size();
+  result.requests = result.summary.count;
   result.weight_updates = mesh.control_plane().updates_applied();
   result.proxy_cost_stats = mesh.proxy(c1, service).cost_stats();
   result.traffic_share.assign(mesh.clusters().size(), 0.0);
-  if (!records.empty()) {
+  if (result.requests > 0) {
     double attempts = 0.0;
     for (const auto& r : records) {
+      if (r.sent < t0) continue;
       result.traffic_share[r.backend_cluster] += 1.0;
       attempts += static_cast<double>(r.attempts);
     }
     for (auto& share : result.traffic_share) {
-      share /= static_cast<double>(records.size());
+      share /= static_cast<double>(result.requests);
     }
-    result.mean_attempts = attempts / static_cast<double>(records.size());
+    result.mean_attempts = attempts / static_cast<double>(result.requests);
   }
   if (recorder) {
     recorder->sample_tracks(sim.now());  // close the counter tracks

@@ -1,6 +1,7 @@
 // Tests for percentile/mean/stddev helpers and the latency summary.
 #include "l3/common/stats.h"
 
+#include "l3/common/order_key.h"
 #include "l3/common/table.h"
 
 #include <gtest/gtest.h>
@@ -78,11 +79,45 @@ TEST(Percentile, SortedVariantMatchesUnsorted) {
   }
 }
 
+// Bits of a double, so exact comparisons also tell -0.0 from +0.0 and
+// report mismatches readably.
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// summarize() by the textbook route: copy, comparison sort, read each
+// quantile with percentile_sorted(), mean by one in-order sum.
+LatencySummary sorted_summary(std::vector<double> values) {
+  LatencySummary s;
+  s.count = values.size();
+  if (values.empty()) return s;
+  s.mean = mean(values);
+  std::sort(values.begin(), values.end());
+  s.p50 = percentile_sorted(values, 0.50);
+  s.p90 = percentile_sorted(values, 0.90);
+  s.p95 = percentile_sorted(values, 0.95);
+  s.p99 = percentile_sorted(values, 0.99);
+  s.p999 = percentile_sorted(values, 0.999);
+  s.max = values.back();
+  return s;
+}
+
+void expect_same_bits(const LatencySummary& got, const LatencySummary& want,
+                      std::size_t n) {
+  EXPECT_EQ(got.count, want.count) << "n=" << n;
+  EXPECT_EQ(bits(got.mean), bits(want.mean)) << "mean, n=" << n;
+  EXPECT_EQ(bits(got.p50), bits(want.p50)) << "p50, n=" << n;
+  EXPECT_EQ(bits(got.p90), bits(want.p90)) << "p90, n=" << n;
+  EXPECT_EQ(bits(got.p95), bits(want.p95)) << "p95, n=" << n;
+  EXPECT_EQ(bits(got.p99), bits(want.p99)) << "p99, n=" << n;
+  EXPECT_EQ(bits(got.p999), bits(want.p999)) << "p999, n=" << n;
+  EXPECT_EQ(bits(got.max), bits(want.max)) << "max, n=" << n;
+}
+
 TEST(Percentile, LargeSampleMatchesComparisonSort) {
-  // Above the internal radix-sort threshold the quantiles must still be
-  // bit-identical to what a comparison sort produces — the scenario golden
-  // traces hash them. Mix magnitudes across several octaves and exact
-  // duplicates so every digit pass and tie path is exercised.
+  // Selection on order keys must give exactly what a comparison sort
+  // gives, at every size: the scenario golden traces hash these bits. The
+  // sizes straddle the 2048-sample line where an earlier version switched
+  // from a comparison sort to a radix sort. Magnitudes span several
+  // octaves, and exact duplicates exercise the tie paths.
   std::uint64_t state = 0x9e3779b97f4a7c15ull;
   auto next = [&state] {
     state ^= state << 13;
@@ -90,30 +125,76 @@ TEST(Percentile, LargeSampleMatchesComparisonSort) {
     state ^= state << 17;
     return state;
   };
-  std::vector<double> values;
-  values.reserve(60000);
-  for (int i = 0; i < 60000; ++i) {
-    const double magnitude =
-        static_cast<double>(1ull << (next() % 20)) / 1024.0;
-    values.push_back(magnitude *
-                     (static_cast<double>(next() % 10000) + 1.0) / 10000.0);
+  for (const std::size_t n : {1u, 2u, 3u, 2047u, 2048u, 2049u, 60000u}) {
+    std::vector<double> values;
+    values.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double magnitude =
+          static_cast<double>(1ull << (next() % 20)) / 1024.0;
+      values.push_back(magnitude *
+                       (static_cast<double>(next() % 10000) + 1.0) / 10000.0);
+    }
+    std::vector<double> sorted = values;
+    std::sort(sorted.begin(), sorted.end());
+    for (const double q : {0.0, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0}) {
+      EXPECT_EQ(bits(percentile(values, q)), bits(percentile_sorted(sorted, q)))
+          << "n=" << n << " q=" << q;
+    }
+    expect_same_bits(summarize(values), sorted_summary(values), n);
   }
-  std::vector<double> sorted = values;
-  std::sort(sorted.begin(), sorted.end());
-  for (const double q : {0.0, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0}) {
-    EXPECT_DOUBLE_EQ(percentile(values, q), percentile_sorted(sorted, q));
+}
+
+TEST(Percentile, KeyPercentilesMatchSortedBitForBit) {
+  // key_percentiles() selects the ranks of several quantiles in one sweep;
+  // each must equal percentile_sorted() alone. A small value set puts
+  // duplicates across the selected ranks, and close quantiles (0.5 next
+  // to 0.5005) share ranks.
+  std::uint64_t state = 0x5851f42d4c957f2dull;
+  auto next = [&state] {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  };
+  const std::vector<double> qs = {0.0, 0.5, 0.5005, 0.9, 0.99, 1.0};
+  for (const std::size_t n : {1u, 2u, 3u, 10u, 2049u}) {
+    for (int trial = 0; trial < 10; ++trial) {
+      std::vector<double> values(n);
+      for (double& v : values) v = static_cast<double>(next() % 31) * 0.37;
+      std::vector<std::uint64_t> keys;
+      for (const double v : values) keys.push_back(order_key(v));
+      std::vector<double> got(qs.size());
+      key_percentiles(keys, qs, got);
+      std::sort(values.begin(), values.end());
+      for (std::size_t i = 0; i < qs.size(); ++i) {
+        EXPECT_EQ(bits(got[i]), bits(percentile_sorted(values, qs[i])))
+            << "n=" << n << " q=" << qs[i];
+      }
+    }
   }
-  const LatencySummary s = summarize(values);
-  EXPECT_DOUBLE_EQ(s.p50, percentile_sorted(sorted, 0.50));
-  EXPECT_DOUBLE_EQ(s.p999, percentile_sorted(sorted, 0.999));
-  EXPECT_DOUBLE_EQ(s.max, sorted.back());
+  std::vector<std::uint64_t> empty;
+  std::vector<double> out = {1.0, 1.0};
+  key_percentiles(empty, std::vector<double>{0.5, 0.99}, out);
+  EXPECT_EQ(out, (std::vector<double>{0.0, 0.0}));
+}
+
+TEST(Summarize, OrderKeysPutNegativeZeroBelowPositiveZero) {
+  // operator< leaves -0.0 and +0.0 unordered, so a comparison sort may put
+  // either zero last; order keys always put -0.0 first. With both in the
+  // sample, max is therefore +0.0 whatever the input order.
+  for (const auto& v : {std::vector<double>{0.0, -0.0},
+                        std::vector<double>{-0.0, 0.0}}) {
+    EXPECT_EQ(bits(summarize(v).max), bits(0.0));
+    EXPECT_EQ(bits(percentile(v, 1.0)), bits(0.0));
+  }
+  EXPECT_EQ(bits(summarize(std::vector<double>{-0.0}).max), bits(-0.0));
 }
 
 TEST(Percentile, SelectMatchesSortedBitForBit) {
-  // The selection helper must reproduce percentile_sorted() exactly — the
-  // timeline p50/p99 it computes are hashed by the golden traces. Draws
+  // The selection helper must reproduce percentile_sorted() exactly. Draws
   // from a small value set so duplicates straddle the selected positions,
-  // and reuses one span across quantiles as aggregate_timeline does.
+  // and reuses one span across quantiles, since any order of the sample is
+  // a valid input.
   std::uint64_t state = 0x2545f4914f6cdd1dull;
   auto next = [&state] {
     state ^= state << 13;

@@ -62,6 +62,18 @@ TEST_F(ProxyTest, EqualWeightsGiveRoughlyEqualShares) {
   for (int c : counts) EXPECT_NEAR(c, 1000, 120);
 }
 
+// A null function pointer as the response callback is refused where its
+// ResponseFn is built, before the request goes out, instead of crashing
+// when the response arrives.
+TEST_F(ProxyTest, NullResponseFunctionPointerIsRejected) {
+  deploy_everywhere();
+  EXPECT_THROW(
+      mesh.call(c1, "svc", 0, static_cast<void (*)(const Response&)>(nullptr)),
+      ContractViolation);
+  sim.run_until(30.0);
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
 TEST_F(ProxyTest, TrafficFollowsWeightRatios) {
   deploy_everywhere();
   Proxy& proxy = mesh.proxy(c1, "svc");

@@ -117,6 +117,52 @@ TEST(EventFn, DestructorReleasesCapture) {
   EXPECT_TRUE(alive.expired());
 }
 
+// SmallFn refuses a null function or member pointer when it is built,
+// by construction or emplace(), instead of crashing when it is called.
+TEST(SmallFn, NullFunctionAndMemberPointersAreRejected) {
+  struct Target {
+    int hits = 0;
+    void hit() { ++hits; }
+  };
+  using TargetFn = common::SmallFn<void(Target&), 16>;
+  EXPECT_THROW(TargetFn(static_cast<void (Target::*)()>(nullptr)),
+               l3::ContractViolation);
+  EXPECT_THROW(TargetFn(static_cast<void (*)(Target&)>(nullptr)),
+               l3::ContractViolation);
+  TargetFn fn(&Target::hit);
+  Target t;
+  fn(t);
+  EXPECT_EQ(t.hits, 1);
+  EXPECT_THROW(fn.emplace(static_cast<void (Target::*)()>(nullptr)),
+               l3::ContractViolation);
+  EXPECT_FALSE(fn);
+  fn.emplace(&Target::hit);
+  fn(t);
+  EXPECT_EQ(t.hits, 2);
+  EventFn ev;
+  EXPECT_THROW(ev.emplace(static_cast<void (*)()>(nullptr)),
+               l3::ContractViolation);
+  EXPECT_FALSE(ev);
+}
+
+// emplace() replaces the held callable in place, by the converting
+// constructor's inline-or-heap rule.
+TEST(SmallFn, EmplaceReplacesByTheConstructorsStorageRule) {
+  int fired = 0;
+  auto token = std::make_shared<int>(0);
+  std::weak_ptr<int> alive = token;
+  EventFn fn([token] { (void)token; });
+  token.reset();
+  fn.emplace(SmallCapture{&fired, 0, 0});
+  EXPECT_TRUE(alive.expired());
+  EXPECT_TRUE(fn.stored_inline());
+  fn();
+  fn.emplace(BigCapture{&fired, {}});
+  EXPECT_FALSE(fn.stored_inline());
+  fn();
+  EXPECT_EQ(fired, 3);
+}
+
 TEST(EventQueue, PopsInTimeOrder) {
   EventQueue q;
   q.push(3.0, 0, [] {});
@@ -149,6 +195,27 @@ TEST(EventQueue, PopMovesCallableOut) {
   EXPECT_EQ(fired, 1);
 }
 
+struct CopyFailed {};
+
+// Callables whose copy constructor throws, one small enough for EventFn's
+// inline buffer and one that goes to the heap. A push of an lvalue copies
+// it into the slot.
+struct ThrowOnCopyInline {
+  ThrowOnCopyInline() = default;
+  ThrowOnCopyInline(const ThrowOnCopyInline&) { throw CopyFailed{}; }
+  ThrowOnCopyInline(ThrowOnCopyInline&&) noexcept = default;
+  void operator()() const {}
+};
+struct ThrowOnCopyHeap {
+  double pad[8] = {};
+  ThrowOnCopyHeap() = default;
+  ThrowOnCopyHeap(const ThrowOnCopyHeap&) { throw CopyFailed{}; }
+  ThrowOnCopyHeap(ThrowOnCopyHeap&&) noexcept = default;
+  void operator()() const {}
+};
+static_assert(EventFn::fits_inline<ThrowOnCopyInline>());
+static_assert(!EventFn::fits_inline<ThrowOnCopyHeap>());
+
 // An EventQueue next to a reference model: every push goes to both, and
 // every pop must return the model's minimum (time, seq) and run the
 // callable pushed with it. Pops rotate through pop_min(), an unbounded
@@ -159,6 +226,15 @@ class ModelChecker {
   void push(double time, std::uint64_t seq) {
     q_.push(time, seq, [this, seq] { invoked_seq_ = seq; });
     ref_.emplace(time, seq);
+  }
+
+  /// A push whose callable throws while it is built (type C's copy
+  /// constructor throws): the queue must be left exactly as it was.
+  template <typename C>
+  void push_throwing(double time, std::uint64_t seq) {
+    const C callable;
+    EXPECT_THROW(q_.push(time, seq, callable), CopyFailed);
+    EXPECT_EQ(q_.size(), ref_.size());
   }
 
   void pop_and_check() {
@@ -252,6 +328,76 @@ TEST(EventQueue, RandomInterleavingMatchesReferenceModel) {
     }
     m.drain();
   }
+}
+
+// Pushes that throw while building their callable, interleaved with the
+// random schedule above: each leaves size() unchanged, and the pops that
+// follow still match the reference model exactly.
+TEST(EventQueue, ThrowingPushesLeaveTheModelSequenceIntact) {
+  std::mt19937 rng(20261017u);
+  std::uniform_real_distribution<double> jitter(0.0, 10.0);
+  ModelChecker m;
+  std::uint64_t next_seq = 0;
+  for (int i = 0; i < 4000; ++i) {
+    const int action = static_cast<int>(rng() % 5);
+    if (action == 0) {
+      m.push(m.last_time() + jitter(rng), next_seq++);
+    } else if (action == 1) {
+      m.push_throwing<ThrowOnCopyHeap>(m.last_time() + jitter(rng),
+                                       next_seq++);
+    } else if (action == 2) {
+      m.push_throwing<ThrowOnCopyInline>(m.last_time() + jitter(rng),
+                                         next_seq++);
+    } else if (action == 3) {
+      m.push(m.last_time() + jitter(rng), next_seq++);
+      m.push(m.last_time() + jitter(rng), next_seq++);
+    } else if (m.size() > 0) {
+      m.pop_and_check();
+    }
+    ASSERT_FALSE(HasFatalFailure());
+  }
+  m.drain();
+}
+
+// A throwing push claims no slot: from the free list the freed slot stays
+// free for the next push, and a fresh slot is not counted, so the next
+// push takes it. Slots of one chunk are consecutive EventFns, so a slot's
+// index shows in the address dispatch_batch() hands the sink.
+TEST(EventQueue, ThrowingPushReusesItsSlot) {
+  EventQueue q;
+  std::vector<const EventFn*> where;
+  const auto run_one = [&] {
+    ASSERT_EQ(q.dispatch_batch(std::numeric_limits<double>::infinity(), 1,
+                               [&](SimTime, EventFn& fn) {
+                                 where.push_back(&fn);
+                                 fn();
+                                 return true;
+                               }),
+              1u);
+  };
+  const ThrowOnCopyHeap heap_callable;
+  const ThrowOnCopyInline inline_callable;
+  q.push(1.0, 0, [] {});
+  run_one();  // slot 0, now on the free list
+  EXPECT_THROW(q.push(2.0, 1, heap_callable), CopyFailed);
+  EXPECT_THROW(q.push(2.0, 2, inline_callable), CopyFailed);
+  EXPECT_TRUE(q.empty());
+  q.push(2.0, 3, [] {});
+  run_one();
+  EXPECT_EQ(where[1], where[0]);
+
+  q.push(3.0, 4, [] {});  // slot 0 again
+  q.push(4.0, 5, [] {});  // slot 1, the first fresh one
+  EXPECT_THROW(q.push(5.0, 6, heap_callable), CopyFailed);
+  EXPECT_THROW(q.push(5.0, 7, inline_callable), CopyFailed);
+  EXPECT_EQ(q.size(), 2u);
+  q.push(6.0, 8, [] {});  // slot 2: the failed pushes did not take it
+  run_one();
+  run_one();
+  run_one();
+  EXPECT_EQ(where[2], where[0]);
+  EXPECT_EQ(where[3], where[0] + 1);
+  EXPECT_EQ(where[4], where[0] + 2);
 }
 
 // Edge-of-range times: both zeros, negatives down to -inf, subnormals,

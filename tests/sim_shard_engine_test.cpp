@@ -52,6 +52,48 @@ TEST(ShardEngine, PostFromForeignClusterThrows) {
   EXPECT_THROW(router.post(1, 0, 1.0, [] {}), ContractViolation);
 }
 
+// A same-shard post builds the closure once, in the target simulator's
+// queue slot (the ShardMessage mailbox is for cross-shard posts only).
+TEST(ShardEngine, SameShardPostMovesClosureOnce) {
+  struct MoveCounter {
+    int* moves;
+    explicit MoveCounter(int* m) : moves(m) {}
+    MoveCounter(MoveCounter&& o) noexcept : moves(o.moves) { ++*moves; }
+    MoveCounter(const MoveCounter&) = delete;
+  };
+  ShardEngine engine(1);
+  engine.set_cluster_owners({0, 0});
+  Simulator sim;
+  ShardRouter& router = engine.router(0);
+  router.attach(sim);
+  int moves = 0;
+  bool fired = false;
+  router.post(0, 1, 1.0, [c = MoveCounter(&moves), &fired] { fired = true; });
+  EXPECT_EQ(moves, 1);
+  sim.run_until(2.0);
+  EXPECT_TRUE(fired);
+  EXPECT_EQ(moves, 1);
+}
+
+template <typename A>
+concept Postable = requires(ShardRouter& r, A&& a) {
+  r.post(0, 0, 1.0, std::forward<A>(a));
+};
+static_assert(Postable<EventFn> && !Postable<EventFn&> &&
+              !Postable<const EventFn&>);
+
+TEST(ShardEngine, PostOfEmptyEventFnThrows) {
+  ShardEngine engine(1);
+  engine.set_cluster_owners({0});
+  Simulator sim;
+  ShardRouter& router = engine.router(0);
+  router.attach(sim);
+  EXPECT_THROW(router.post(0, 0, 1.0, EventFn{}), ContractViolation);
+  EXPECT_THROW(router.post(0, 0, 1.0, static_cast<void (*)()>(nullptr)),
+               ContractViolation);
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
 TEST(ShardEngine, ZeroCrossShardLookaheadIsRejected) {
   ShardEngine engine(2);
   engine.set_cluster_owners({0, 1});

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 namespace l3::sim {
@@ -71,6 +72,88 @@ TEST(Simulator, SchedulingInThePastThrows) {
   sim.schedule_at(5.0, [] {});
   sim.run_until(5.0);
   EXPECT_THROW(sim.schedule_at(1.0, [] {}), l3::ContractViolation);
+}
+
+// Counts the moves of the closure that captures it; copies are deleted,
+// so a move is the only way the closure can be relocated.
+struct MoveCounter {
+  int* moves;
+  explicit MoveCounter(int* m) : moves(m) {}
+  MoveCounter(MoveCounter&& o) noexcept : moves(o.moves) { ++*moves; }
+  MoveCounter(const MoveCounter&) = delete;
+};
+
+// Every scheduling entry point builds the caller's closure once, directly
+// in its queue slot, and dispatch invokes it there: one move in all, for a
+// closure stored inline and for one too large for EventFn's buffer.
+TEST(Simulator, EachScheduledClosureIsMovedOnce) {
+  Simulator sim;
+  int moves[6] = {};
+  int fired = 0;
+  sim.schedule_at(1.0, [c = MoveCounter(&moves[0]), &fired] { ++fired; });
+  sim.schedule_after(1.0, [c = MoveCounter(&moves[1]), &fired] { ++fired; });
+  sim.schedule_delivered(1.0, 0, 0,
+                         [c = MoveCounter(&moves[2]), &fired] { ++fired; });
+  struct Big {
+    MoveCounter c;
+    int* fired;
+    double pad[8];
+    void operator()() { ++*fired; }
+  };
+  static_assert(!EventFn::fits_inline<Big>());
+  sim.schedule_at(2.0, Big{MoveCounter(&moves[3]), &fired, {}});
+  sim.schedule_after(2.0, Big{MoveCounter(&moves[4]), &fired, {}});
+  sim.schedule_delivered(2.0, 0, 1, Big{MoveCounter(&moves[5]), &fired, {}});
+  for (const int m : moves) EXPECT_EQ(m, 1);
+  sim.run_until(3.0);
+  EXPECT_EQ(fired, 6);
+  for (const int m : moves) EXPECT_EQ(m, 1);
+}
+
+// An lvalue EventFn must be moved in explicitly; every entry point
+// rejects it at compile time rather than copying or silently moving from it.
+template <typename A>
+concept SchedulableAt = requires(Simulator& s, A&& a) {
+  s.schedule_at(1.0, std::forward<A>(a));
+};
+template <typename A>
+concept SchedulableAfter = requires(Simulator& s, A&& a) {
+  s.schedule_after(1.0, std::forward<A>(a));
+};
+template <typename A>
+concept Deliverable = requires(Simulator& s, A&& a) {
+  s.schedule_delivered(1.0, 0, 0, std::forward<A>(a));
+};
+template <typename A>
+concept Pushable = requires(EventQueue& q, A&& a) {
+  q.push(1.0, 0, std::forward<A>(a));
+};
+static_assert(SchedulableAt<EventFn> && !SchedulableAt<EventFn&> &&
+              !SchedulableAt<const EventFn&>);
+static_assert(SchedulableAfter<EventFn> && !SchedulableAfter<EventFn&> &&
+              !SchedulableAfter<const EventFn&>);
+static_assert(Deliverable<EventFn> && !Deliverable<EventFn&> &&
+              !Deliverable<const EventFn&>);
+static_assert(Pushable<EventFn> && !Pushable<EventFn&> &&
+              !Pushable<const EventFn&>);
+
+TEST(Simulator, EmptyEventFnIsRejected) {
+  Simulator sim;
+  EXPECT_THROW(sim.schedule_at(1.0, EventFn{}), l3::ContractViolation);
+  EXPECT_THROW(sim.schedule_after(1.0, EventFn{}), l3::ContractViolation);
+  EXPECT_THROW(sim.schedule_delivered(1.0, 0, 0, EventFn{}),
+               l3::ContractViolation);
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+// A null function pointer is refused when it is scheduled, not found by a
+// crash when the event is dispatched.
+TEST(Simulator, NullFunctionPointerIsRejected) {
+  Simulator sim;
+  EXPECT_THROW(sim.schedule_at(1.0, static_cast<void (*)()>(nullptr)),
+               l3::ContractViolation);
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(sim.run_until(2.0), 0u);
 }
 
 TEST(Simulator, ReentrantSchedulingFromEvent) {
