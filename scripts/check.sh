@@ -1,23 +1,22 @@
 #!/usr/bin/env bash
-# Checks that library code uses no <random> engine or distribution and that
-# README.md's bench/sim_core table matches BENCH_sim_core.json, builds
-# the test suite under AddressSanitizer and UndefinedBehaviorSanitizer
-# and runs ctest for each, runs the concurrency-sensitive tests (experiment
-# runner, simulator, logging, obs shard merge, shard engine + mailboxes)
-# under ThreadSanitizer, then the plain RelWithDebInfo build,
-# jobs-invariance smoke diffs on figure benches (plain, chaos, the DSB call
-# graph, and --profile), a --proxy-cost=0 zero-cost identity diff,
-# shard-invariance smoke diffs (--shards=2/4 vs the serial
-# run, plain and chaos), the seed-42 ledger digest gate (bench/ledger, one
-# Release rep per workload against pinned digests), an L3_OBS=OFF
-# byte-identical golden, a
-# Release-mode bench/sim_core smoke run (writes BENCH_sim_core.json and
-# re-renders the README table from it), the
-# flight-recorder overhead gate, the request-path pick-throughput gate, the
-# sharded-mega throughput gate, the serial-mega columnar control-plane gate
-# (shards=1 req/s >= 2/3 of recorded baseline), the control_plane section
-# gate, and the proxy_cost saturation gate.
-# Intended as the pre-merge gate; any failure aborts immediately.
+# The pre-merge gate; any failure aborts immediately. In order:
+#   * portable-RNG gate: no <random> engine or distribution in src/ or
+#     include/;
+#   * per preset: configure, build and ctest. asan, ubsan and default run
+#     the whole suite; tsan runs the concurrency-sensitive subset named by
+#     its -R filter below;
+#   * with the default preset: jobs-invariance smoke diffs on figure benches
+#     (plain, chaos, the DSB call graph, and --profile), a --proxy-cost=0
+#     zero-cost identity diff, shard-invariance smoke diffs (--shards=2/4 vs
+#     the serial run, plain and chaos), the seed-42 ledger digest gate
+#     (bench/ledger, one Release rep per workload against pinned digests),
+#     and an L3_OBS=OFF byte-identical golden;
+#   * the Release flight-recorder overhead gate (trace_overhead --obs-gate).
+# Structural performance bugs (a picker rebuilt per pick, a scrape plan or
+# window cursor rebuilt per tick, a barrier that synchronises per event, a
+# proxy cost model that stops feeding the latency signal) are ctest
+# invariants; wall-clock regressions are the benchmark's A/B (BENCHMARK.json).
+# A full run writes no tracked file.
 #
 # Usage: scripts/check.sh [preset...]
 #   With no arguments, runs: asan ubsan tsan default.
@@ -42,13 +41,6 @@ if grep -rnE '#include <random>|std::[a-z_]*_distribution|generate_canonical|mt1
   exit 1
 fi
 echo "    no <random> engines or distributions in library code"
-
-# README bench-table gate: README.md's bench/sim_core table is rendered
-# from the committed BENCH_sim_core.json and must match it. The sim_core
-# smoke below refreshes both together.
-echo "==> README bench table in sync with BENCH_sim_core.json"
-python3 scripts/render_bench_table.py --check
-echo "    README.md table matches BENCH_sim_core.json"
 
 for preset in "${presets[@]}"; do
   echo "==> [$preset] configure"
@@ -211,95 +203,18 @@ PY
   echo "    L3_OBS=OFF output byte-identical to the instrumented build"
 fi
 
-# Hot-path perf smoke: build the sim_core bench in Release and refresh
-# BENCH_sim_core.json so regressions in events/s or TSDB throughput show
-# up in the diff, then re-render README.md's table from the fresh JSON so
-# the two stay in sync. --fast keeps it to a few seconds.
-echo "==> [release-bench] sim_core perf smoke"
-cmake --preset release-bench >/dev/null
-cmake --build --preset release-bench -j "$(nproc)" --target sim_core
-cmake --build --preset release-bench -j "$(nproc)" --target trace_overhead
-
 # Flight-recorder overhead gate: a full scenario with the recorder bound
 # must finish within 5% of the unrecorded run, produce identical simulation
 # results, and cover >= 6 instrumented subsystems (exits non-zero on any
 # violation; see bench/trace_overhead.cpp --obs-gate).
 echo "==> [release-bench] obs recorder overhead gate"
+cmake --preset release-bench >/dev/null
+cmake --build --preset release-bench -j "$(nproc)" --target trace_overhead
 ./build-release/bench/trace_overhead --obs-gate 5 --obs-gate-reps 3
 
-./build-release/bench/sim_core --fast --out BENCH_sim_core.json
-python3 scripts/render_bench_table.py
-
-# Committed-baseline ratio gates. `ratio_gate FIELD NUM DEN` fails when
-# FIELD is missing from the fresh BENCH_sim_core.json or is below NUM/DEN
-# of its value in the committed one (skipped only when the committed file
-# has no such field yet). The bounds are loose on purpose: each catches a
-# structural regression (~10x), not scheduler noise on a shared box.
-json_field() {
-  awk -F': ' -v f="\"$1\"" '$0 ~ f {gsub(/,/,"",$2); print $2}'
-}
-ratio_gate() {
-  local field=$1 num=$2 den=$3 baseline current
-  baseline=$(git show HEAD:BENCH_sim_core.json 2>/dev/null \
-    | json_field "$field" || true)
-  current=$(json_field "$field" < BENCH_sim_core.json)
-  if [[ -z "$current" ]]; then
-    echo "FAIL: no $field in BENCH_sim_core.json"
-    exit 1
-  fi
-  if [[ -z "$baseline" ]]; then
-    echo "    no committed baseline for $field yet; comparison skipped"
-    return
-  fi
-  awk -v b="$baseline" -v c="$current" -v n="$num" -v d="$den" -v f="$field" 'BEGIN {
-    if (c + 0.0 < b * n / d) {
-      printf "FAIL: %s %.4g < %s/%s of committed baseline %.4g\n", f, c, n, d, b
-      exit 1
-    }
-    printf "    %s ok: %.4g (baseline %.4g, floor %s/%s)\n", f, c, b, n, d
-  }'
-}
-
-# request_path: weighted picks/s within 30% of baseline (a cache-
-# invalidation bug that rebuilds the picker per pick is ~10x under).
-ratio_gate weighted_picks_per_sec 7 10
-# Sharded mega: the 10k-backend scenario at --shards=4 keeps half its
-# aggregate req/s (a barrier that spins per event is ~10x under).
-ratio_gate shards4_reqs_per_sec 1 2
-# Serial mega (columnar control plane) at --shards=1 keeps 2/3 of the
-# baseline: losing a third of it (a cursor that stops hitting, a plan
-# rebuilt per scrape) trips this well before scheduler noise can.
-ratio_gate shards1_reqs_per_sec 2 3
-# Control plane: the section must exist, and its two throughputs (24-region
-# scrape and manage at mega scale) keep half the baseline.
-grep -q '"control_plane"' BENCH_sim_core.json \
-  || { echo "FAIL: no control_plane section in BENCH_sim_core.json"; exit 1; }
-ratio_gate scrape_series_per_sec 1 2
-ratio_gate manage_backends_per_sec 1 2
-
-# Proxy-cost gate: BENCH_sim_core.json must carry the proxy_cost section
-# (the DESIGN.md §16 cost sweep), the costed run must have actually paid
-# handshakes, and proxy saturation must compress the L3 traffic-share skew
-# by a clear margin: skew_compression = (zero_skew-1)/(costed_skew-1) >= 1.5.
-# The committed baseline measures ~4.3x, so 1.5x trips on a cost model that
-# stopped feeding the EWMA signal well before run-to-run noise can.
-grep -q '"proxy_cost"' BENCH_sim_core.json \
-  || { echo "FAIL: no proxy_cost section in BENCH_sim_core.json"; exit 1; }
-awk -F': ' '
-  /"skew_compression"/ {gsub(/,/,"",$2); compression = $2}
-  /"handshakes"/ {gsub(/,/,"",$2); handshakes = $2}
-  END {
-    if (compression == "") {
-      print "FAIL: no skew_compression in proxy_cost section"; exit 1
-    }
-    if (handshakes + 0 < 1) {
-      print "FAIL: costed proxy run paid no handshakes"; exit 1
-    }
-    if (compression + 0.0 < 1.5) {
-      printf "FAIL: proxy saturation compressed share skew only %.3gx (gate: 1.5x)\n", compression
-      exit 1
-    }
-    printf "    proxy_cost ok: skew compression %.3gx, %d handshakes\n", compression, handshakes
-  }' BENCH_sim_core.json
-
-echo "All checks passed: ${presets[*]} + sim_core smoke + obs gate + pick gate + shard gate + serial-mega gate + control-plane gate + proxy-cost gate"
+gates="portable-RNG gate + ctest (${presets[*]})"
+if [[ " ${presets[*]} " == *" default "* ]]; then
+  gates+=" + jobs/profile/proxy-cost/shard smoke diffs + ledger digests"
+  gates+=" + L3_OBS=OFF golden"
+fi
+echo "All checks passed: $gates + obs overhead gate"

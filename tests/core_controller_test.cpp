@@ -72,6 +72,22 @@ TEST_F(ControllerTest, ShiftsWeightTowardFastBackend) {
   EXPECT_GT(weights[0], weights[2] * 2);
 }
 
+TEST_F(ControllerTest, SteadyStateReusesScrapePlanAndWindowCursors) {
+  // Once the registry's series exist, every scrape reuses the columnar plan
+  // and every controller window query advances its cursor in place. A plan
+  // rebuilt per scrape or a cursor reseeded per query shows up as new
+  // rebuilds here.
+  start_stack({0.020, 0.200, 0.200}, std::make_unique<lb::L3Policy>());
+  sim.run_until(60.0);
+  const auto plans = scraper->plan_rebuilds();
+  const auto hits = tsdb.cursor_hits();
+  const auto reseeds = tsdb.cursor_rebuilds();
+  sim.run_until(180.0);
+  EXPECT_EQ(scraper->plan_rebuilds(), plans);
+  EXPECT_EQ(tsdb.cursor_rebuilds(), reseeds);
+  EXPECT_GT(tsdb.cursor_hits(), hits);
+}
+
 TEST_F(ControllerTest, RoundRobinPolicyKeepsEqualWeights) {
   start_stack({0.020, 0.200, 0.200}, std::make_unique<lb::RoundRobinPolicy>());
   sim.run_until(60.0);

@@ -5,6 +5,7 @@
 // zero-cost byte-identity contract through the scenario runner.
 #include "l3/mesh/proxy_cost.h"
 
+#include "l3/lb/weighting.h"
 #include "l3/mesh/mesh.h"
 #include "l3/workload/runner.h"
 
@@ -361,6 +362,39 @@ TEST(ProxyCostRunner, CostedRunPaysHandshakesAndCpu) {
   EXPECT_GT(result.proxy_cost_stats.cpu_busy_total, 0.0);
   // Pooling works: the vast majority of requests reuse warm connections.
   EXPECT_GT(result.proxy_cost_stats.pool_hit_rate(), 0.9);
+}
+
+TEST(ProxyCostRunner, SaturatedProxyCompressesL3ShareSkew) {
+  // DESIGN.md §16: a near-saturated 1-worker proxy CPU stage (4.8 ms/req at
+  // 200 rps, ρ ≈ 0.96) adds one common queueing delay to every backend, so
+  // the per-backend latency ratios — and L3's weights and traffic shares —
+  // compress toward uniform. Skew is max/mean share (1.0 = uniform).
+  workload::ScenarioTrace trace("proxy-cost", 3, 60.0);
+  const double medians[3] = {0.090, 0.030, 0.010};
+  for (std::size_t c = 0; c < 3; ++c) {
+    for (std::size_t s = 0; s < trace.steps(); ++s) {
+      trace.at(c, s) = workload::TracePoint{medians[c], medians[c] * 3.0, 1.0};
+    }
+  }
+  for (std::size_t s = 0; s < trace.steps(); ++s) trace.set_rps(s, 200.0);
+  workload::RunnerConfig zero;
+  zero.warmup = 30.0;
+  zero.poisson_arrivals = true;
+  workload::RunnerConfig costed = zero;
+  costed.proxy_cost.cpu_per_request = 0.0048;
+  costed.proxy_cost.concurrency = 1;
+  costed.proxy_cost.handshake_cost = 0.002;
+  costed.proxy_cost.pool_size = 16;
+  costed.proxy_cost.idle_timeout = 30.0;
+
+  const auto plain = run_scenario(trace, workload::PolicyKind::kL3, zero);
+  const auto loaded = run_scenario(trace, workload::PolicyKind::kL3, costed);
+  const double zero_skew = lb::weight_skew(plain.traffic_share);
+  const double costed_skew = lb::weight_skew(loaded.traffic_share);
+  ASSERT_GT(costed_skew, 1.0);
+  EXPECT_GE((zero_skew - 1.0) / (costed_skew - 1.0), 1.5)
+      << "zero skew " << zero_skew << ", costed skew " << costed_skew;
+  EXPECT_GE(loaded.proxy_cost_stats.handshakes, 1u);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -114,6 +115,24 @@ TEST(Mega, AuditHandledCountsAreMonotonePerRegion) {
     last[a.region] = a.handled;
   }
   EXPECT_EQ(last.size(), config.regions);  // every region replied
+}
+
+TEST(Mega, BarrierOpensOneWindowPerLookahead) {
+  // Each shard's window spans up to one lookahead (wan_base), so a run
+  // opens about shards·(duration + 5 s drain)/wan_base windows whatever the
+  // host's scheduling. The bound allows twice that; a barrier that
+  // synchronised per event would open >10x more (the run has ~128k events).
+  MegaConfig config = small_config();
+  config.duration = 2.0;
+  config.rps_per_region = 2000.0;
+  config.shards = 4;
+  const MegaResult result = run_mega(config);
+  ASSERT_GT(result.total_events, 100000u);
+  const auto lookaheads = static_cast<std::uint64_t>(
+      std::ceil((config.duration + 5.0) / config.wan_base));
+  EXPECT_GE(result.barrier.windows, config.shards * lookaheads);
+  EXPECT_LE(result.barrier.windows,
+            2 * config.shards * lookaheads + config.shards);
 }
 
 TEST(Mega, TenThousandBackendSmoke) {

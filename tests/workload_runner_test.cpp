@@ -121,6 +121,30 @@ TEST(Runner, ProfilingDoesNotPerturbResults) {
 #endif
 }
 
+TEST(Runner, PickerAndScrapePlanRebuildOnlyOnChange) {
+#if !L3_OBS_ENABLED
+  GTEST_SKIP() << "scope counts are compiled out with L3_OBS=OFF";
+#endif
+  // The proxy's cumulative-weight table is rebuilt only when the split's
+  // weights (or the availability mask) change, and the scraper's columnar
+  // plan only when a registry gains series. A cache that invalidates per
+  // pick would count one rebuild per weighted pick (~36k here); a plan
+  // rebuilt per scrape would count one per scrape (~30).
+  RunnerConfig config;
+  config.duration = 60.0;
+  config.profile = true;
+  const auto r = run_scenario(make_scenario1(1), PolicyKind::kL3, config);
+  const auto count = [&](obs::ScopeId id) {
+    return r.profile.scope_count[static_cast<std::size_t>(id)];
+  };
+  EXPECT_GT(r.weight_updates, 0u);
+  EXPECT_GT(count(obs::ScopeId::kWeightedPick), 1000u);
+  EXPECT_GT(count(obs::ScopeId::kScraperScrape), 10u);
+  EXPECT_GE(count(obs::ScopeId::kPickerRebuild), 1u);
+  EXPECT_LE(count(obs::ScopeId::kPickerRebuild), r.weight_updates + 1);
+  EXPECT_LE(count(obs::ScopeId::kScraperPlan), 2u);
+}
+
 TEST(Runner, DifferentSeedsDiffer) {
   const auto trace = tiny_uniform_trace(0.020, 0.100, 50.0);
   RunnerConfig c2 = fast_config();
