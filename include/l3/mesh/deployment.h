@@ -119,8 +119,9 @@ class ServiceDeployment {
   /// Total load across replicas (active + queued).
   std::size_t load() const;
 
-  /// Aggregate lifetime counters.
-  std::uint64_t completed() const;
+  /// Lifetime counters. `completed` counts every call whose behavior
+  /// finished on a live replica, including replicas since scaled down.
+  std::uint64_t completed() const { return completed_; }
   std::uint64_t rejected() const { return rejected_; }
 
   std::size_t replica_count() const { return replicas_.size(); }
@@ -200,6 +201,7 @@ class ServiceDeployment {
   SplitRng rng_;
   trace::Tracer* tracer_ = nullptr;
   bool down_ = false;
+  std::uint64_t completed_ = 0;
   std::uint64_t rejected_ = 0;
   std::uint64_t crash_failed_ = 0;
   /// In-flight calls failed by crash_replica whose behavior continuation

@@ -8,10 +8,10 @@
 
 #include "l3/common/assert.h"
 #include "l3/common/function.h"
+#include "l3/metrics/sample_ring.h"
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <utility>
 
 namespace l3::mesh {
@@ -58,7 +58,10 @@ class ReleaseToken {
 using ReplicaJob = common::SmallFn<void(ReleaseToken), 24>;
 
 /// One service replica with `concurrency` slots and a FIFO queue of at most
-/// `queue_capacity` waiting requests.
+/// `queue_capacity` waiting requests. The queue is a power-of-two ring that
+/// allocates nothing until a job waits and then grows by doubling from 8
+/// slots, so its capacity never exceeds max(8, std::bit_ceil(queue_capacity)):
+/// at mega scale almost every replica stays idle and owns no queue memory.
 class Replica {
  public:
   Replica(std::size_t concurrency, std::size_t queue_capacity)
@@ -79,13 +82,18 @@ class Replica {
   /// Requests waiting in the queue.
   std::size_t queued() const { return queue_.size(); }
 
+  /// Queue slots currently allocated: zero until a job first waits and
+  /// again after crash(), never above max(8, std::bit_ceil(queue_capacity))
+  /// (introspection for tests).
+  std::size_t queue_slots() const { return queue_.capacity(); }
+
   /// Total load (active + queued) — the replica-selection signal.
   std::size_t load() const { return active_ + queue_.size(); }
 
   std::size_t concurrency() const { return concurrency_; }
 
   /// Crashes the replica (fault injection): queued jobs are destroyed
-  /// unrun, further submissions are rejected, and the queue stays unpumped
+  /// unrun and the queue's storage is freed, further submissions are rejected, and the queue stays unpumped
   /// until restart(). Slots held by in-flight jobs remain counted until
   /// their ReleaseTokens fire — the owner (ServiceDeployment) is
   /// responsible for failing those calls and firing their tokens exactly
@@ -97,8 +105,7 @@ class Replica {
 
   bool crashed() const { return crashed_; }
 
-  /// Lifetime counters for observability and tests.
-  std::uint64_t completed() const { return completed_; }
+  /// Lifetime rejection count for observability and tests.
   std::uint64_t rejected() const { return rejected_; }
 
  private:
@@ -112,8 +119,7 @@ class Replica {
   std::size_t concurrency_;
   std::size_t queue_capacity_;
   std::size_t active_ = 0;
-  std::deque<ReplicaJob> queue_;
-  std::uint64_t completed_ = 0;
+  metrics::SampleRing<ReplicaJob> queue_;
   std::uint64_t rejected_ = 0;
   bool crashed_ = false;
 };

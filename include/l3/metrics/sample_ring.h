@@ -2,7 +2,10 @@
 // std::deque in the TSDB hot path: contiguous storage (one cache-friendly
 // slab instead of deque's chunk map), O(1) amortized push_back, O(1)
 // pop_front, and O(1) random access — which is what lets the window queries
-// binary-search instead of scanning.
+// binary-search instead of scanning. An empty ring allocates nothing, which
+// also makes it the replica wait queue (mesh/replica.h): thousands of idle
+// replicas cost no queue memory at all, where an empty std::deque holds a
+// map and a node.
 #pragma once
 
 #include "l3/common/assert.h"
@@ -16,7 +19,8 @@
 namespace l3::metrics {
 
 /// FIFO ring with random access. Samples enter at the back (append) and
-/// leave at the front (retention trimming).
+/// leave at the front (retention trimming). Storage is allocated on the
+/// first push_back (8 slots) and doubles whenever the ring is full.
 ///
 /// Elements also carry an absolute sequence number: the i-th oldest element
 /// is sequence `popped() + i`, and sequences never repeat or shift as the
@@ -58,8 +62,17 @@ class SampleRing {
     ++popped_;
   }
 
+  /// Removes the front element and returns it, moved out.
+  T take_front() {
+    L3_EXPECTS(size_ > 0);
+    T value = std::move(slots_[head_]);
+    pop_front();
+    return value;
+  }
+
+  /// Empties the ring and frees its storage.
   void clear() noexcept {
-    slots_.clear();
+    slots_ = std::vector<T>{};
     head_ = 0;
     size_ = 0;
     mask_ = 0;

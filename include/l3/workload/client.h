@@ -7,13 +7,16 @@
 // to its local frontend, §5.1).
 #pragma once
 
+#include "l3/common/assert.h"
 #include "l3/common/rng.h"
 #include "l3/common/stats.h"
 #include "l3/common/time.h"
 #include "l3/mesh/mesh.h"
 #include "l3/trace/span.h"
 
+#include <cstdint>
 #include <functional>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -23,15 +26,29 @@ namespace l3::workload {
 /// One completed (or timed-out) request as the client saw it. When client
 /// retries are enabled, `latency` spans first send to final response and
 /// `success`/`backend_cluster` describe the last attempt.
+///
+/// A client keeps one record per request (over a million in mega), so the
+/// layout is packed to 24 bytes: the cluster id is narrowed to 16 bits
+/// (written through record_cluster(), which range-checks it) and fills what
+/// would otherwise be padding. Tests build records with positional
+/// initializers, so the field order is part of the interface.
 struct RequestRecord {
   SimTime sent = 0.0;
   SimDuration latency = 0.0;
   bool success = true;
   bool timed_out = false;
-  mesh::ClusterId backend_cluster = 0;
+  std::uint16_t backend_cluster = 0;
   /// Number of attempts made (1 = no retry needed).
   int attempts = 1;
 };
+static_assert(sizeof(RequestRecord) == 24);
+
+/// `cluster` narrowed to RequestRecord::backend_cluster. Throws
+/// ContractViolation when the id does not fit in 16 bits.
+inline std::uint16_t record_cluster(mesh::ClusterId cluster) {
+  L3_EXPECTS(cluster <= std::numeric_limits<std::uint16_t>::max());
+  return static_cast<std::uint16_t>(cluster);
+}
 
 /// How the client reaches the target service.
 enum class CallMode {

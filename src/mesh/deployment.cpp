@@ -161,6 +161,7 @@ void ServiceDeployment::complete_call(CallHandle handle,
   // run_call for the next waiting request; the chunked pool keeps `call`
   // stable through that.
   call->release();
+  ++completed_;
   if (call->server.sampled()) {
     tracer_->end_span(call->server, outcome.success
                                         ? trace::SpanStatus::kOk
@@ -253,12 +254,6 @@ std::size_t ServiceDeployment::total_concurrency() const {
 std::size_t ServiceDeployment::load() const {
   std::size_t total = 0;
   for (const auto& r : replicas_) total += r->load();
-  return total;
-}
-
-std::uint64_t ServiceDeployment::completed() const {
-  std::uint64_t total = 0;
-  for (const auto& r : replicas_) total += r->completed();
   return total;
 }
 

@@ -31,14 +31,10 @@ void Replica::release_one() {
   L3_ASSERT(active_ > 0);
   --active_;
   // Tokens released while crashed come from the crash path failing the
-  // in-flight calls: those are not completions, and the (already emptied)
-  // queue must not be pumped.
+  // in-flight calls: the (already emptied) queue must not be pumped.
   if (crashed_) return;
-  ++completed_;
   if (!queue_.empty() && active_ < concurrency_) {
-    ReplicaJob next = std::move(queue_.front());
-    queue_.pop_front();
-    run(std::move(next));
+    run(queue_.take_front());
   }
 }
 

@@ -138,7 +138,7 @@ void OpenLoopClient::send_attempt(SimTime first_sent, int attempt,
                  records_.push_back(RequestRecord{
                      first_sent, mesh_.simulator().now() - first_sent,
                      response.success, response.timed_out,
-                     response.backend_cluster, attempt});
+                     record_cluster(response.backend_cluster), attempt});
                });
 }
 
@@ -169,7 +169,8 @@ void OpenLoopClient::fire_local_direct() {
         end_trace(root, outcome.success, false);
         records_.push_back(RequestRecord{sent_at,
                                          mesh_.simulator().now() - sent_at,
-                                         outcome.success, false, source_});
+                                         outcome.success, false,
+                                         record_cluster(source_)});
       });
     });
   });

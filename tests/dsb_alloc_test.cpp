@@ -1,31 +1,43 @@
-// Allocation regression guard for the DeathStarBench request path.
+// Allocation regression guards, built on a counting global operator new.
 //
-// A counting global operator new measures heap allocations over a short
-// and a long hotel-reservation run; the difference divided by the extra
-// requests is the marginal allocation count per client request. Fixed
-// set-up costs (deployments, proxies, pools growing to their high-water
-// mark) cancel out, so what remains is the steady-state request path. It
-// must stay well under one allocation per request: the stage frames and
-// every continuation are pooled or inline. Its own executable because the
-// replaced operator new is process-wide.
+// Request path: heap allocations are counted over a short and a long
+// hotel-reservation run; the difference divided by the extra requests is
+// the marginal allocation count per client request. Fixed set-up costs
+// (deployments, proxies, pools growing to their high-water mark) cancel
+// out, so what remains is the steady-state request path. It must stay well
+// under one allocation per request: the stage frames and every
+// continuation are pooled or inline.
+//
+// Idle replicas: the bytes allocated to set up one mega region's
+// deployment, divided by its replica count. An idle replica must cost
+// little more than the Replica object itself: no queue storage until a
+// request waits.
+//
+// Its own executable because the replaced operator new is process-wide.
 #include "l3/dsb/runner.h"
+#include "l3/mesh/mesh.h"
+#include "l3/sim/simulator.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <string>
+#include <utility>
 
 namespace {
 
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_bytes{0};
 
 }  // namespace
 
 void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
@@ -63,6 +75,23 @@ TEST(DsbAllocations, HotelRequestPathIsAllocationFree) {
       << (long_run.allocations - short_run.allocations)
       << " marginal allocations over "
       << (long_run.requests - short_run.requests) << " requests";
+}
+
+TEST(ReplicaAllocations, IdleReplicaSetUpStaysSmall) {
+  // Mega spreads 10,080 backends over 24 regions: 420 replicas each.
+  constexpr std::size_t kReplicas = 420;
+  sim::Simulator sim;
+  mesh::Mesh mesh(sim, SplitRng(7));
+  const mesh::ClusterId cluster = mesh.add_cluster("c1");
+  auto behavior = std::make_unique<mesh::FixedLatencyBehavior>(0.010, 0.050);
+  const std::uint64_t before = g_bytes.load(std::memory_order_relaxed);
+  mesh.deploy("svc", cluster, {.replicas = kReplicas}, std::move(behavior));
+  const std::uint64_t after = g_bytes.load(std::memory_order_relaxed);
+  const double per_replica =
+      static_cast<double>(after - before) / static_cast<double>(kReplicas);
+  RecordProperty("bytes_per_idle_replica", std::to_string(per_replica));
+  EXPECT_LE(per_replica, 256.0)
+      << (after - before) << " bytes to set up " << kReplicas << " replicas";
 }
 
 }  // namespace

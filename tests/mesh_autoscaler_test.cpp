@@ -299,8 +299,28 @@ TEST_F(AutoscalerTest, CrashAfterScaleDownHitsTheRightReplica) {
   EXPECT_EQ(b_failed, 1);
   EXPECT_EQ(d.live_calls(), 0u);
   parked[1](Outcome{});  // B's late behavior completion is absorbed
+  EXPECT_EQ(d.completed(), 1u);  // only A: a crash-failed call never counts
   EXPECT_NO_THROW(d.restart_replica(0));
   EXPECT_EQ(d.alive_replicas(), 1u);
+}
+
+TEST_F(AutoscalerTest, CompletedCountSurvivesScaleDown) {
+  auto& d = deploy_slow();
+  d.add_replica();
+  // Six concurrent requests spread over both replicas (least-loaded with a
+  // rotating tie-break), then all finish.
+  int finished = 0;
+  for (int i = 0; i < 6; ++i) {
+    d.handle(0, [&](const Outcome& o) { finished += o.success ? 1 : 0; });
+  }
+  ASSERT_GT(d.replica(0).load(), 0u);
+  ASSERT_GT(d.replica(1).load(), 0u);
+  sim.run_until(5.0);
+  ASSERT_EQ(finished, 6);
+  EXPECT_EQ(d.completed(), 6u);
+  ASSERT_TRUE(d.remove_idle_replica());
+  // A lifetime count: the removed replica's completions stay counted.
+  EXPECT_EQ(d.completed(), 6u);
 }
 
 TEST_F(AutoscalerTest, RejectsBadConfig) {

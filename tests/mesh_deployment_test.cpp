@@ -7,7 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <memory>
+#include <utility>
+#include <vector>
 
 namespace l3::mesh {
 namespace {
@@ -21,7 +26,6 @@ TEST(Replica, RunsImmediatelyWhenSlotFree) {
   }));
   EXPECT_TRUE(ran);
   EXPECT_EQ(r.active(), 0u);
-  EXPECT_EQ(r.completed(), 1u);
 }
 
 TEST(Replica, QueuesBeyondConcurrency) {
@@ -41,7 +45,6 @@ TEST(Replica, QueuesBeyondConcurrency) {
   release_first();  // frees the slot → queued job runs
   EXPECT_TRUE(second_ran);
   EXPECT_EQ(r.load(), 0u);
-  EXPECT_EQ(r.completed(), 2u);
 }
 
 TEST(Replica, RejectsWhenQueueFull) {
@@ -76,6 +79,105 @@ TEST(Replica, FifoOrderForQueuedJobs) {
   }
   release0();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(Replica, FifoOrderHoldsAcrossQueueWrapAndGrowth) {
+  Replica r(1, 64);
+  std::vector<int> order;
+  std::vector<ReleaseToken> running;
+  int submitted = 0;
+  const auto submit = [&] {
+    const int id = submitted++;
+    ASSERT_TRUE(r.submit([&order, &running, id](ReleaseToken release) {
+      order.push_back(id);
+      running.push_back(std::move(release));
+    }));
+  };
+  // Bursts of 1..7 submissions against 1..5 completions: the queue length
+  // drifts up and down, so its ring both wraps and doubles.
+  for (int round = 0; round < 300; ++round) {
+    for (int k = 0; k < 1 + round % 7 && r.queued() < 60; ++k) submit();
+    for (int k = 0; k < 1 + round % 5 && !running.empty(); ++k) {
+      ReleaseToken release = std::move(running.back());
+      running.pop_back();
+      release();  // runs the next queued job, which parks its own token
+    }
+  }
+  while (!running.empty()) {
+    ReleaseToken release = std::move(running.back());
+    running.pop_back();
+    release();
+  }
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(submitted));
+  for (int i = 0; i < submitted; ++i) EXPECT_EQ(order[i], i);
+  EXPECT_EQ(r.load(), 0u);
+  EXPECT_GT(r.queue_slots(), 8u);  // the queue grew past its first slab
+}
+
+TEST(Replica, SaturatedQueueStaysWithinCapacity) {
+  for (const std::size_t capacity : {1u, 3u, 5u, 8u, 100u}) {
+    Replica r(2, capacity);
+    std::vector<ReleaseToken> running;
+    const auto job = [&running](ReleaseToken release) {
+      running.push_back(std::move(release));
+    };
+    EXPECT_EQ(r.queue_slots(), 0u);  // idle: no queue memory
+    std::uint64_t rejected = 0;
+    for (int round = 0; round < 2000; ++round) {
+      // Fill to the brim, then free one slot; the queue stays saturated.
+      while (r.submit(job)) {
+        ASSERT_LE(r.queued(), capacity);
+      }
+      ++rejected;
+      ASSERT_EQ(r.queued(), capacity);
+      ReleaseToken release = std::move(running.front());
+      running.erase(running.begin());
+      release();
+    }
+    EXPECT_EQ(r.rejected(), rejected);
+    EXPECT_LE(r.queue_slots(),
+              std::max<std::size_t>(8, std::bit_ceil(capacity)))
+        << capacity;
+    r.crash();
+    for (ReleaseToken& release : running) release();
+  }
+}
+
+TEST(Replica, CrashDropsExactlyTheQueuedJobsAndRestartsEmpty) {
+  Replica r(1, 10);
+  ReleaseToken in_flight;
+  r.submit([&](ReleaseToken release) { in_flight = std::move(release); });
+  int ran = 0;
+  const auto alive = std::make_shared<int>(0);
+  for (int i = 0; i < 5; ++i) {
+    r.submit([&ran, alive](ReleaseToken release) {
+      ++ran;
+      release();
+    });
+  }
+  ASSERT_EQ(r.queued(), 5u);
+  ASSERT_EQ(alive.use_count(), 6);
+  EXPECT_EQ(r.crash(), 5u);
+  EXPECT_EQ(r.queued(), 0u);
+  EXPECT_EQ(alive.use_count(), 1);  // the queued closures were destroyed
+  EXPECT_EQ(r.queue_slots(), 0u);   // and the queue's storage freed
+  EXPECT_EQ(r.active(), 1u);        // the in-flight slot is still held
+  in_flight();                      // released by the owner's crash path
+  EXPECT_EQ(ran, 0);                // without pumping the queue
+  r.restart();
+  EXPECT_EQ(r.load(), 0u);
+  std::vector<int> order;
+  ReleaseToken hold;
+  r.submit([&](ReleaseToken release) { hold = std::move(release); });
+  for (int i = 0; i < 3; ++i) {
+    r.submit([&order, i](ReleaseToken release) {
+      order.push_back(i);
+      release();
+    });
+  }
+  hold();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(ran, 0);
 }
 
 class DeploymentTest : public ::testing::Test {

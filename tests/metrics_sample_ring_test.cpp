@@ -1,11 +1,13 @@
 // Tests for the power-of-two ring buffer behind the TSDB sample storage:
-// FIFO semantics across growth and wrap-around, O(1) random access, and
-// eager release of element-owned memory on pop_front.
+// FIFO semantics across growth and wrap-around, O(1) random access, eager
+// release of element-owned memory on pop_front, and move-out take_front
+// (the replica wait queue's dequeue).
 #include "l3/metrics/sample_ring.h"
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <memory>
 #include <random>
@@ -101,9 +103,39 @@ TEST(SampleRing, ClearEmptiesAndAllowsReuse) {
   for (int i = 0; i < 37; ++i) ring.push_back(i);
   ring.clear();
   EXPECT_TRUE(ring.empty());
+  EXPECT_EQ(ring.capacity(), 0u);  // the storage is freed, not kept
   ring.push_back(5);
   ASSERT_EQ(ring.size(), 1u);
   EXPECT_EQ(ring.front(), 5);
+}
+
+TEST(SampleRing, TakeFrontMovesOutInFifoOrderAcrossGrowthAndWrap) {
+  SampleRing<std::unique_ptr<int>> ring;
+  int next = 0;
+  int expect = 0;
+  // Push three, take two per cycle: the ring grows while head_ keeps
+  // lapping the storage, and move-only elements come out in push order.
+  for (int cycle = 0; cycle < 40; ++cycle) {
+    for (int k = 0; k < 3; ++k) ring.push_back(std::make_unique<int>(next++));
+    for (int k = 0; k < 2; ++k) {
+      const std::unique_ptr<int> value = ring.take_front();
+      ASSERT_NE(value, nullptr);
+      EXPECT_EQ(*value, expect++);
+    }
+  }
+  while (!ring.empty()) EXPECT_EQ(*ring.take_front(), expect++);
+  EXPECT_EQ(expect, next);
+  EXPECT_EQ(ring.popped(), static_cast<std::uint64_t>(next));
+  EXPECT_THROW(ring.take_front(), ContractViolation);
+}
+
+TEST(SampleRing, AllocatesNothingUntilTheFirstPushThenDoubles) {
+  SampleRing<int> ring;
+  EXPECT_EQ(ring.capacity(), 0u);
+  ring.push_back(0);
+  EXPECT_EQ(ring.capacity(), 8u);
+  for (int i = 1; i < 9; ++i) ring.push_back(i);
+  EXPECT_EQ(ring.capacity(), 16u);
 }
 
 }  // namespace

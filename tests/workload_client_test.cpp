@@ -195,6 +195,26 @@ TEST_F(ClientTest, ArrivalBlocksMatchPerEventRecurrence) {
   }
 }
 
+TEST(RequestRecord, PackedLayoutKeepsFieldOrder) {
+  static_assert(sizeof(RequestRecord) == 24);
+  // Positional initializers throughout this file rely on this order.
+  const RequestRecord r{1.5, 0.25, false, true, 7, 3};
+  EXPECT_EQ(r.sent, 1.5);
+  EXPECT_EQ(r.latency, 0.25);
+  EXPECT_FALSE(r.success);
+  EXPECT_TRUE(r.timed_out);
+  EXPECT_EQ(r.backend_cluster, 7u);
+  EXPECT_EQ(r.attempts, 3);
+}
+
+TEST(RequestRecord, ClusterIdBeyondSixteenBitsIsContractViolation) {
+  EXPECT_EQ(record_cluster(0), 0u);
+  EXPECT_EQ(record_cluster(65535), 65535u);
+  EXPECT_THROW(record_cluster(65536), ContractViolation);
+  EXPECT_THROW(record_cluster(std::numeric_limits<mesh::ClusterId>::max()),
+               ContractViolation);
+}
+
 TEST(Timeline, AggregatesPerBucket) {
   std::vector<RequestRecord> records;
   records.push_back({0.5, 0.100, true, false, 0});
@@ -345,7 +365,7 @@ std::vector<RequestRecord> completion_ordered_records(std::size_t n,
     const double tail = rng() % 8 == 0 ? 9.0 : 1.0;
     const double latency = 0.001 * static_cast<double>(1 + rng() % 400) * tail;
     records.push_back({sent, latency, ok(rng), false,
-                       static_cast<mesh::ClusterId>(rng() % 3)});
+                       static_cast<std::uint16_t>(rng() % 3)});
   }
   std::stable_sort(records.begin(), records.end(),
                    [](const RequestRecord& a, const RequestRecord& b) {
