@@ -54,8 +54,8 @@ class SampleRing {
 
   void pop_front() {
     L3_EXPECTS(size_ > 0);
-    // Reset the slot so element-owned memory (e.g. histogram bucket
-    // vectors) is released now, not when the slot is next overwritten.
+    // Reset the slot so whatever the element owns (a replica job's captured
+    // state) is released now, not when the slot is next overwritten.
     slots_[head_] = T{};
     head_ = (head_ + 1) & mask_;
     --size_;

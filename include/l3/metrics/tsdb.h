@@ -1,6 +1,6 @@
 // A miniature Prometheus: timestamped sample storage plus the query
-// functions L3 uses — `rate()`/`increase()` over a trailing window, gauge
-// averaging, and `histogram_quantile()` over bucket-rate vectors. The L3
+// functions L3 uses — `rate()` over a trailing window, gauge averaging,
+// and `histogram_quantile()` over bucket-rate vectors. The L3
 // controller reads ONLY from here (never from live registries), reproducing
 // the 5 s scrape / 10 s window staleness the paper discusses in §4.
 //
@@ -76,10 +76,13 @@ class HistogramId {
 class TimeSeriesDb {
  public:
   /// @param retention  samples older than now − retention are dropped on
-  ///                   append (default generous enough for 10 s windows
-  ///                   while bounding memory over 20-minute runs).
-  explicit TimeSeriesDb(SimDuration retention = 120.0)
-      : retention_(retention) {}
+  ///                   append and by compact(); finite and positive. The
+  ///                   runners pass their controller's query_window: it
+  ///                   reads only [now − window, now] at a `now` no earlier
+  ///                   than the last append, so nothing it can read is
+  ///                   dropped. The 120 s default serves hand-wired stores
+  ///                   (examples, tests).
+  explicit TimeSeriesDb(SimDuration retention = 120.0);
 
   // ---- Series interning -------------------------------------------------
 
@@ -129,14 +132,6 @@ class TimeSeriesDb {
   std::optional<double> rate(const std::string& key, SimDuration window,
                              SimTime now) const {
     return rate(find_series(key), window, now);
-  }
-
-  /// Absolute increase of a counter over the window (rate × elapsed).
-  std::optional<double> increase(SeriesId id, SimDuration window,
-                                 SimTime now) const;
-  std::optional<double> increase(const std::string& key, SimDuration window,
-                                 SimTime now) const {
-    return increase(find_series(key), window, now);
   }
 
   /// Mean of gauge samples in the window; std::nullopt if none.

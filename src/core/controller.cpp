@@ -109,6 +109,9 @@ L3Controller::L3Controller(mesh::Mesh& mesh, metrics::TimeSeriesDb& tsdb,
   L3_EXPECTS(policy_ != nullptr);
   L3_EXPECTS(config.control_interval > 0.0);
   L3_EXPECTS(config.query_window > 0.0);
+  // A store that forgets samples inside the window would silently shorten
+  // every rate and quantile this controller reads.
+  L3_EXPECTS(tsdb.retention() >= config.query_window);
   L3_EXPECTS(config.quantile > 0.0 && config.quantile < 1.0);
   L3_EXPECTS(source < mesh.clusters().size());
 }

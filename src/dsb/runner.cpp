@@ -64,7 +64,8 @@ workload::RunResult run_app(workload::PolicyKind kind,
   disturber.start();
 
   // One Prometheus + one controller per cluster (production layout).
-  metrics::TimeSeriesDb tsdb;
+  // The controllers are the store's only readers: keep exactly their window.
+  metrics::TimeSeriesDb tsdb(config.controller.query_window);
   metrics::Scraper scraper(sim, tsdb);
   for (mesh::ClusterId c : {c1, c2, c3}) {
     scraper.add_target(mesh.cluster_names()[c], mesh.registry(c));

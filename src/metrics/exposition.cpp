@@ -59,7 +59,13 @@ std::string render_labels(const std::string& body, const std::string& extra) {
     out << (first ? "" : ",") << extra;
     first = false;
   }
-  return first ? "" : "{" + out.str() + "}";
+  if (first) return "";
+  // Appended rather than `"{" + out.str()`: GCC 12's -O3 -Wrestrict
+  // misreads that operator+ overload's insert-at-front as an overlap.
+  std::string labels = "{";
+  labels += out.str();
+  labels += '}';
+  return labels;
 }
 
 /// Emits a `# TYPE` comment the first time a metric family appears.

@@ -5,6 +5,7 @@
 #include "l3/obs/recorder.h"
 
 #include <algorithm>
+#include <cmath>
 
 namespace l3::metrics {
 namespace {
@@ -77,6 +78,12 @@ std::optional<std::pair<std::size_t, std::size_t>> TimeSeriesDb::fold_window(
   if (end - first < min_samples) return std::nullopt;
   return std::make_pair(static_cast<std::size_t>(first - base),
                         static_cast<std::size_t>(end - base - 1));
+}
+
+TimeSeriesDb::TimeSeriesDb(SimDuration retention) : retention_(retention) {
+  // A negative retention would trim the sample just appended; NaN or +inf
+  // would never trim at all.
+  L3_EXPECTS(std::isfinite(retention) && retention > 0.0);
 }
 
 SeriesId TimeSeriesDb::series(std::string_view name) {
@@ -235,13 +242,6 @@ std::optional<double> TimeSeriesDb::rate(SeriesId id, SimDuration window,
   const double elapsed = last.t - first.t;
   if (elapsed <= 0.0) return std::nullopt;
   return (last.v - first.v) / elapsed;
-}
-
-std::optional<double> TimeSeriesDb::increase(SeriesId id, SimDuration window,
-                                             SimTime now) const {
-  const auto r = rate(id, window, now);
-  if (!r) return std::nullopt;
-  return *r * window;
 }
 
 std::optional<double> TimeSeriesDb::avg(SeriesId id, SimDuration window,

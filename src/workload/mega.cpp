@@ -126,17 +126,21 @@ struct ShardState {
                           dep_of_region[r]);
     }
     chaos::FaultPlan plan;
+    const core::ControllerConfig controller_config;
     for (const mesh::ClusterId region : owned) {
       mesh.proxy(region, "api");  // materialise proxy + TrafficSplit
       const std::string& name = mesh.cluster_names()[region];
 
-      auto tsdb = std::make_unique<metrics::TimeSeriesDb>();
+      // The controller is the store's only reader: keep exactly its window.
+      auto tsdb = std::make_unique<metrics::TimeSeriesDb>(
+          controller_config.query_window);
       auto scraper = std::make_unique<metrics::Scraper>(sim, *tsdb);
       scraper->add_target(name, mesh.registry(region));
       scraper->start(config.scrape_interval);
 
       auto controller = std::make_unique<core::L3Controller>(
-          mesh, *tsdb, region, std::make_unique<lb::L3Policy>());
+          mesh, *tsdb, region, std::make_unique<lb::L3Policy>(),
+          controller_config);
       controller->manage(*mesh.find_split(region, "api"));
       controller->start();
 

@@ -119,7 +119,8 @@ RunResult run_scenario_with(const ScenarioTrace& trace,
   mesh.proxy(c1, service);
 
   // Prometheus + L3 controller (in cluster-1, like the paper's setup).
-  metrics::TimeSeriesDb tsdb;
+  // The controller is the store's only reader: keep exactly its window.
+  metrics::TimeSeriesDb tsdb(config.controller.query_window);
   metrics::Scraper scraper(sim, tsdb);
   scraper.add_target("cluster-1", mesh.registry(c1));
   scraper.start(config.scrape_interval);

@@ -319,8 +319,9 @@ TEST(ChaosInjector, ControllerPauseFreezesWeightsThenResumes) {
   const auto b = m.add_cluster("b");
   const auto c = m.add_cluster("c");
   const std::vector<SimDuration> medians = {0.02, 0.2, 0.2};
-  for (std::size_t i = 0; i < 3; ++i) {
-    m.deploy("svc", static_cast<mesh::ClusterId>(i), {},
+  const std::vector<mesh::ClusterId> clusters = {a, b, c};
+  for (std::size_t i = 0; i < clusters.size(); ++i) {
+    m.deploy("svc", clusters[i], {},
              std::make_unique<mesh::FixedLatencyBehavior>(medians[i],
                                                           medians[i] * 4.0));
   }

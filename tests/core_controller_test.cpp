@@ -255,6 +255,19 @@ TEST_F(ControllerTest, ManageRejectsForeignSplit) {
   EXPECT_THROW(controller->manage(*foreign), ContractViolation);
 }
 
+TEST_F(ControllerTest, RejectsStoreShorterThanQueryWindow) {
+  // A store that forgets samples inside the query window would silently
+  // shorten every rate and quantile the controller reads.
+  const ControllerConfig config;
+  metrics::TimeSeriesDb short_store(config.query_window / 2.0);
+  EXPECT_THROW(L3Controller(mesh, short_store, c1,
+                            std::make_unique<lb::L3Policy>(), config),
+               ContractViolation);
+  metrics::TimeSeriesDb window_store(config.query_window);
+  EXPECT_NO_THROW(L3Controller(mesh, window_store, c1,
+                               std::make_unique<lb::L3Policy>(), config));
+}
+
 TEST_F(ControllerTest, ManageAllIsIdempotent) {
   start_stack({0.020, 0.020, 0.020}, std::make_unique<lb::L3Policy>());
   controller->manage_all();

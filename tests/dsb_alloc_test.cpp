@@ -35,15 +35,20 @@ std::atomic<std::uint64_t> g_bytes{0};
 
 }  // namespace
 
-void* operator new(std::size_t size) {
+// Not inlined: GCC would otherwise see a malloc() paired with an operator
+// delete, or an operator new paired with a free(), and flag the pair as
+// mismatched (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   g_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace l3::dsb {
 namespace {

@@ -1,4 +1,4 @@
-// Tests for the TSDB queries: rate/increase windows, gauge averaging,
+// Tests for the TSDB queries: rate windows, gauge averaging,
 // histogram quantiles over bucket rates, retention, and the >=2-samples
 // rule that motivates the paper's 10 s query window.
 #include "l3/metrics/tsdb.h"
@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 namespace l3::metrics {
@@ -42,15 +43,6 @@ TEST(Tsdb, UnknownSeriesReturnsNullopt) {
   EXPECT_FALSE(db.avg("nope", 10.0, 100.0).has_value());
   EXPECT_FALSE(db.last("nope", 10.0, 100.0).has_value());
   EXPECT_FALSE(db.quantile("nope", 0.99, 10.0, 100.0).has_value());
-}
-
-TEST(Tsdb, IncreaseScalesRateByWindow) {
-  TimeSeriesDb db;
-  db.append("c", 0.0, 0.0);
-  db.append("c", 10.0, 50.0);
-  const auto inc = db.increase("c", 10.0, 10.0);
-  ASSERT_TRUE(inc.has_value());
-  EXPECT_DOUBLE_EQ(*inc, 50.0);
 }
 
 TEST(Tsdb, AvgOfGaugeSamples) {
@@ -122,6 +114,18 @@ TEST(Tsdb, RetentionDropsOldSamples) {
   // Samples older than 70 are gone; a window over them returns nothing.
   EXPECT_FALSE(db.rate("c", 10.0, 40.0).has_value());
   EXPECT_TRUE(db.rate("c", 10.0, 100.0).has_value());
+}
+
+TEST(Tsdb, RejectsInvalidRetention) {
+  // Negative retention would trim the sample just appended; NaN and +inf
+  // would never trim at all.
+  EXPECT_THROW(TimeSeriesDb(-1.0), ContractViolation);
+  EXPECT_THROW(TimeSeriesDb(0.0), ContractViolation);
+  EXPECT_THROW(TimeSeriesDb(std::numeric_limits<double>::quiet_NaN()),
+               ContractViolation);
+  EXPECT_THROW(TimeSeriesDb(std::numeric_limits<double>::infinity()),
+               ContractViolation);
+  EXPECT_NO_THROW(TimeSeriesDb(10.0));
 }
 
 TEST(Tsdb, RejectsOutOfOrderAppends) {

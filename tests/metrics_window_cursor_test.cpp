@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -93,9 +94,6 @@ TEST(WindowCursorTest, ScalarQueriesMatchBinarySearchOracle) {
           (void)oracle.last(oc, 2.0 * window, now);
           ExpectSame(live.rate(lc, window, now), oracle.rate(oc, window, now),
                      "rate", now);
-          (void)oracle.last(oc, 2.0 * window, now);
-          ExpectSame(live.increase(lc, window, now),
-                     oracle.increase(oc, window, now), "increase", now);
           (void)oracle.last(oc, 2.0 * window, now);
           ExpectSame(live.avg(lc, window, now), oracle.avg(oc, window, now),
                      "avg", now);
@@ -233,6 +231,118 @@ TEST(WindowCursorTest, CursorSurvivesRetentionTrim) {
     }
   }
   EXPECT_GT(db.cursor_hits(), 0u);
+}
+
+TEST(WindowCursorTest, RetentionEqualToWindowAnswersLikeUnboundedStore) {
+  // The runners size retention to the controller's query window. Every
+  // query of that window at an append time must then be bit-identical to a
+  // store that never forgets: a trim at append time t drops only samples
+  // older than t - W, and no later query (now >= t) reads before now - W.
+  // Ticks and gaps stay on the interval grid, so most queries find a sample
+  // exactly at now - W: any retention shorter than W drops it.
+  const SimDuration window = 10.0;
+  const std::vector<double> bounds = {0.1, 0.5, 1.0};
+  for (const std::uint64_t seed : {21u, 22u, 23u, 24u, 25u, 26u}) {
+    const SimDuration interval = std::vector<double>{2.0, 2.5, 5.0}[seed % 3];
+    Lcg rng(seed);
+    TimeSeriesDb kept(window);
+    TimeSeriesDb full(1e9);
+    const SeriesId kc = kept.series("c");
+    const SeriesId kg = kept.series("g");
+    const HistogramId kh = kept.histogram_series("h");
+    const SeriesId fc = full.series("c");
+    const SeriesId fg = full.series("g");
+    const HistogramId fh = full.histogram_series("h");
+    kept.set_histogram_bounds(kh, bounds);
+    full.set_histogram_bounds(fh, bounds);
+
+    double t = 0.0;
+    double counter = 0.0;
+    std::vector<double> cum(bounds.size() + 1, 0.0);
+    bool gauge_paused = false;  // a disabled target: its series goes idle
+    int boundary_hits = 0;
+    std::vector<double> scrape_times;
+    const auto scrape = [&] {
+      scrape_times.push_back(t);
+      counter += static_cast<double>(rng.below(50));
+      for (std::size_t b = 0; b < cum.size(); ++b) {
+        cum[b] += static_cast<double>(rng.below(5));
+        if (b > 0) cum[b] = std::max(cum[b], cum[b - 1]);
+      }
+      kept.append(kc, t, counter);
+      full.append(fc, t, counter);
+      kept.append_histogram(kh, t, cum);
+      full.append_histogram(fh, t, cum);
+      if (!gauge_paused) {
+        const double gauge = 100.0 * rng.uniform();
+        kept.append(kg, t, gauge);
+        full.append(fg, t, gauge);
+      }
+    };
+    const auto check = [&] {
+      const double now = t;
+      ExpectSame(kept.rate(kc, window, now), full.rate(fc, window, now),
+                 "rate", now);
+      ExpectSame(kept.avg(kg, window, now), full.avg(fg, window, now), "avg",
+                 now);
+      ExpectSame(kept.last(kg, window, now), full.last(fg, window, now),
+                 "last", now);
+      for (const double q : {0.5, 0.99}) {
+        ExpectSame(kept.quantile(kh, q, window, now),
+                   full.quantile(fh, q, window, now), "quantile", now);
+      }
+      if (std::binary_search(scrape_times.begin(), scrape_times.end(),
+                             now - window)) {
+        ++boundary_hits;  // a sample sits exactly on the window's edge
+      }
+    };
+
+    for (int step = 0; step < 600; ++step) {
+      switch (rng.below(10)) {
+        case 0: {  // a second append at the same timestamp
+          scrape();
+          break;
+        }
+        case 1: {  // a scrape gap longer than the window
+          t += window + interval * static_cast<double>(rng.below(3));
+          scrape();
+          break;
+        }
+        case 2: {  // retention sweep, as the scraper does once per scrape
+          kept.compact(t);
+          full.compact(t);
+          break;
+        }
+        case 3: {
+          gauge_paused = !gauge_paused;
+          break;
+        }
+        default: {  // on-grid scrape tick
+          t += interval;
+          scrape();
+        }
+      }
+      check();
+    }
+    EXPECT_GT(boundary_hits, 0) << "seed " << seed;
+
+    // Steady state: plain ticks hold one window of samples, and no more.
+    gauge_paused = false;
+    const auto bound =
+        static_cast<std::size_t>(std::ceil(window / interval)) + 1;
+    for (int tick = 0; tick < 40; ++tick) {
+      t += interval;
+      scrape();
+      kept.compact(t);
+      full.compact(t);
+      check();
+      if (static_cast<double>(tick) * interval <= window) continue;
+      EXPECT_LE(kept.sample_count(kc), bound) << "seed " << seed;
+      EXPECT_LE(kept.sample_count(kg), bound) << "seed " << seed;
+      EXPECT_LE(kept.histogram_sample_count(kh), bound) << "seed " << seed;
+    }
+    EXPECT_GT(full.sample_count(fc), 4 * bound);  // the oracle kept it all
+  }
 }
 
 }  // namespace

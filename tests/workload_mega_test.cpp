@@ -111,7 +111,9 @@ TEST(Mega, AuditHandledCountsAreMonotonePerRegion) {
     EXPECT_GE(a.time, last_time);  // delivery order
     last_time = a.time;
     const auto it = last.find(a.region);
-    if (it != last.end()) EXPECT_GE(a.handled, it->second);
+    if (it != last.end()) {
+      EXPECT_GE(a.handled, it->second);
+    }
     last[a.region] = a.handled;
   }
   EXPECT_EQ(last.size(), config.regions);  // every region replied
