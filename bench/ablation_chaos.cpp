@@ -28,7 +28,6 @@ int main(int argc, char** argv) {
   const auto trace = workload::make_scenario1();
   workload::RunnerConfig base;
   base.profile = args.profile;
-  base.shards = static_cast<std::size_t>(args.shards);
   if (args.fast) base.duration = 180.0;
   base.health_probe_interval = 0.0;  // failures visible via metrics only
   const double horizon = args.fast ? 180.0 : 600.0;

@@ -27,7 +27,6 @@ int main(int argc, char** argv) {
   const auto trace = workload::make_failure1();
   workload::RunnerConfig base;
   base.profile = args.profile;
-  base.shards = static_cast<std::size_t>(args.shards);
   if (args.fast) base.duration = 180.0;
 
   std::vector<exp::ConfigVariant> variants;

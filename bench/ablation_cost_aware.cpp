@@ -26,7 +26,6 @@ int main(int argc, char** argv) {
       workload::make_scenario1());
   workload::RunnerConfig config;
   config.profile = args.profile;
-  config.shards = static_cast<std::size_t>(args.shards);
   if (args.fast) config.duration = 180.0;
 
   const std::vector<double> lambdas = {0.5, 2.0, 8.0};

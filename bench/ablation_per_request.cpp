@@ -31,7 +31,6 @@ int main(int argc, char** argv) {
       workload::make_scenario3());
   workload::RunnerConfig base;
   base.profile = args.profile;
-  base.shards = static_cast<std::size_t>(args.shards);
   if (args.fast) base.duration = 180.0;
 
   struct Strategy {

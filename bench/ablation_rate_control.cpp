@@ -19,7 +19,6 @@
 #include "l3/mesh/autoscaler.h"
 #include "l3/mesh/mesh.h"
 #include "l3/metrics/scraper.h"
-#include "l3/sim/shard_engine.h"
 #include "l3/workload/client.h"
 #include "l3/workload/scenario.h"
 #include "l3/workload/trace_behavior.h"
@@ -40,7 +39,7 @@ struct SurgeResult {
 };
 
 SurgeResult run(bool rate_control, std::uint64_t seed,
-                l3::obs::Recorder* recorder, std::size_t shards) {
+                l3::obs::Recorder* recorder) {
   using namespace l3;
   // Inline harness (no workload::runner), so the recorder binds here.
   std::optional<obs::ScopedRecorderBind> recorder_bind;
@@ -95,7 +94,8 @@ SurgeResult run(bool rate_control, std::uint64_t seed,
   }
   autoscaler.start();
 
-  metrics::TimeSeriesDb tsdb;
+  // The controller is the store's only reader: keep exactly its window.
+  metrics::TimeSeriesDb tsdb(core::ControllerConfig{}.query_window);
   metrics::Scraper scraper(sim, tsdb);
   scraper.add_target("cluster-1", mesh.registry(c1));
   scraper.start(5.0);
@@ -111,22 +111,7 @@ SurgeResult run(bool rate_control, std::uint64_t seed,
       mesh, c1, "api", [&trace](SimTime t) { return trace.rps_at(t); },
       root.split("client"));
   client.start(0.0, end);
-  // Same sharded-run shape as workload::run_scenario_with: the topology is
-  // RNG-coupled, so all clusters stay on shard 0 and results are
-  // byte-identical for every shard count.
-  if (shards <= 1) {
-    sim.run_until(end + 60.0);
-  } else {
-    sim::ShardEngine engine(shards);
-    engine.set_cluster_owners(
-        std::vector<std::size_t>(mesh.clusters().size(), 0));
-    engine.run([&](std::size_t shard) {
-      if (shard != 0) return;
-      sim::ShardRouter& router = engine.router(0);
-      router.attach(sim);
-      router.run_until(end + 60.0);
-    });
-  }
+  sim.run_until(end + 60.0);
 
   const auto timeline =
       workload::aggregate_timeline(client.records(), 0.0, end, 10.0);
@@ -166,14 +151,12 @@ int main(int argc, char** argv) {
   spec.policies = {"L3 with Algorithm 2", "L3 without"};
   spec.repetitions = reps;
   spec.seed = 42;
-  spec.cell = [profile = args.profile,
-               shards = static_cast<std::size_t>(args.shards)](
-                  const exp::Cell& cell,
-                  std::uint64_t seed) -> exp::CellData {
+  spec.cell = [profile = args.profile](const exp::Cell& cell,
+                                       std::uint64_t seed) -> exp::CellData {
     std::optional<obs::Recorder> recorder;
     if (profile) recorder.emplace();
-    const auto r = run(cell.policy == 0, seed,
-                       recorder ? &*recorder : nullptr, shards);
+    const auto r =
+        run(cell.policy == 0, seed, recorder ? &*recorder : nullptr);
     exp::CellData data;
     data.metrics = {{"p99_steady", r.p99_steady},
                     {"p99_surge", r.p99_surge},

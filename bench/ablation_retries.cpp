@@ -22,7 +22,6 @@ int main(int argc, char** argv) {
   const auto trace = workload::make_failure1();
   workload::RunnerConfig base;
   base.profile = args.profile;
-  base.shards = static_cast<std::size_t>(args.shards);
   if (args.fast) base.duration = 180.0;
 
   const std::vector<int> retry_counts = {0, 2};

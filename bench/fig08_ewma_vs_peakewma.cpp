@@ -21,7 +21,6 @@ int main(int argc, char** argv) {
 
   workload::RunnerConfig config;
   config.profile = args.profile;
-  config.shards = static_cast<std::size_t>(args.shards);
   if (args.fast) config.duration = 180.0;
 
   auto spec = exp::scenario_grid(

@@ -22,7 +22,6 @@ int main(int argc, char** argv) {
 
   dsb::DsbRunnerConfig config;
   config.profile = args.profile;
-  config.shards = static_cast<std::size_t>(args.shards);
   if (args.fast) config.duration = 180.0;
 
   const std::vector<workload::PolicyKind> kinds = {

@@ -80,7 +80,8 @@ int main() {
   // the tail traces show cross-cluster WAN + queue time.
   app.load_model().set_factors(c2, {.median = 3.0, .tail = 4.0});
 
-  metrics::TimeSeriesDb tsdb;
+  // The controllers are the store's only readers: keep exactly their window.
+  metrics::TimeSeriesDb tsdb(core::ControllerConfig{}.query_window);
   metrics::Scraper scraper(sim, tsdb);
   for (mesh::ClusterId c : {c1, c2, c3}) {
     scraper.add_target(mesh.cluster_names()[c], mesh.registry(c));

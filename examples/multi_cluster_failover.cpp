@@ -46,7 +46,8 @@ int main() {
       std::make_unique<mesh::FixedLatencyBehavior>(30_ms, 120_ms));
   mesh.proxy(c1, "checkout");
 
-  metrics::TimeSeriesDb tsdb;
+  // The controllers are the store's only readers: keep exactly their window.
+  metrics::TimeSeriesDb tsdb(core::ControllerConfig{}.query_window);
   metrics::Scraper scraper(sim, tsdb);
   scraper.add_target("cluster-1", mesh.registry(c1));
   scraper.start(5.0);

@@ -51,7 +51,8 @@ l3::workload::ClientSummary run(std::unique_ptr<l3::lb::LoadBalancingPolicy> pol
   mesh.proxy(frankfurt, "api");  // materialise the TrafficSplit
 
   // 3. Metrics pipeline: Prometheus-style scrape every 5 s.
-  metrics::TimeSeriesDb tsdb;
+  // The controller is the store's only reader: keep exactly its window.
+  metrics::TimeSeriesDb tsdb(core::ControllerConfig{}.query_window);
   metrics::Scraper scraper(sim, tsdb);
   scraper.add_target("frankfurt", mesh.registry(frankfurt));
   scraper.start(5.0);

@@ -3,6 +3,9 @@
 // constant-throughput client at the cluster-1 frontend, one L3 controller
 // per cluster (production layout, §3), and rotating per-cluster performance
 // disturbances supplying the heterogeneity the algorithms compete on.
+// Like the trace runner (l3/workload/runner.h), a run is one plain
+// Simulator: the clusters are RNG-coupled, and sharding is a run_mega
+// capability (MegaConfig::shards, the ledger's mega-sharded workload).
 #pragma once
 
 #include "l3/dsb/hotel_app.h"
@@ -29,10 +32,6 @@ struct DsbRunnerConfig {
   SimDuration propagation_delay = 0.0;
   /// Bind an obs::Recorder for the run (see workload::RunnerConfig::profile).
   bool profile = false;
-  /// Simulator shards (see workload::RunnerConfig::shards): the DSB
-  /// topology is RNG-coupled, so all clusters stay on shard 0 and results
-  /// are byte-identical for every value.
-  std::size_t shards = 1;
 
   HotelAppConfig app;
   PerformanceDisturber::Config disturbance;
@@ -45,11 +44,6 @@ struct DsbRunnerConfig {
 /// Runs the hotel-reservation application under one policy.
 workload::RunResult run_hotel_reservation(workload::PolicyKind kind,
                                           const DsbRunnerConfig& config = {});
-
-/// Repeats with derived seeds (the paper alternates 3 repetitions).
-std::vector<workload::RunResult> run_hotel_reservation_repeated(
-    workload::PolicyKind kind, const DsbRunnerConfig& config,
-    int repetitions);
 
 /// Runs the social-network application under one policy — the extension
 /// workload; `config.app` is ignored, `social` configures the application.

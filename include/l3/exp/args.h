@@ -1,11 +1,15 @@
 // The shared command-line surface of every bench binary:
 //
 //   [--reps N] [--fast] [--jobs N] [--json PATH] [--profile]
-//   [--shards=N] [--proxy-cost=US]
+//   [--proxy-cost=US]
 //
 // Parsing is strict: numeric flags reject non-numeric, negative, trailing-
 // garbage and overflowing values instead of silently mapping them to 0 the
 // way raw atoi did.
+//
+// There is no shard flag: every cell runs one simulator, and sharding is a
+// run_mega capability (MegaConfig::shards, the ledger's mega-sharded
+// workload).
 #pragma once
 
 #include <optional>
@@ -24,10 +28,6 @@ struct BenchArgs {
   /// gains a deterministic `profile` block and a wall-time table goes to
   /// stderr. Simulation results are unchanged.
   bool profile = false;
-  /// Simulator shards for the conservative-lookahead parallel engine
-  /// (RunnerConfig::shards). Results are byte-identical for every value,
-  /// including 1 (the legacy single-simulator loop).
-  int shards = 1;
   /// Per-request sidecar CPU cost in microseconds for the data-plane cost
   /// model (RunnerConfig::proxy_cost.cpu_per_request; DESIGN.md §16). 0
   /// (default) disables the model and reproduces the cost-free run

@@ -26,8 +26,8 @@
 // briefly, then parks on its own condition variable; publishers wake only
 // parked shards they are coupled to (a Dekker handshake on the parked flag,
 // see acquire()/publish()). Shards with no coupled peers see safe = +inf and
-// run the whole horizon in one window — the --shards=1 path executes
-// exactly the legacy loop.
+// run the whole horizon in one window, so a one-shard run executes exactly
+// the plain Simulator loop.
 #pragma once
 
 #include "l3/common/assert.h"

@@ -1,10 +1,11 @@
 // The "mega" scale scenario: a 10k-backend mesh sharded across the
-// conservative-lookahead parallel engine (l3/sim/shard_engine.h). Unlike
-// the three-cluster fig topologies — which are RNG-coupled through the
-// legacy WAN discipline and therefore pinned to shard 0 — mega uses the
-// presampled WAN discipline (Proxy::enable_presampled): both WAN legs are
-// drawn source-side at send time, so the regions decouple and can be
-// partitioned across shards with real parallel speedup.
+// conservative-lookahead parallel engine (l3/sim/shard_engine.h), and the
+// only runner that shards. The three-cluster fig and DSB topologies are
+// RNG-coupled through the legacy WAN discipline, so their runners use one
+// plain Simulator. Mega uses the presampled WAN discipline
+// (Proxy::enable_presampled): both WAN legs are drawn source-side at send
+// time, so the regions decouple and can be partitioned across shards with
+// real parallel speedup.
 //
 // Topology: `regions` single-cluster regions, each deploying
 // `replicas_per_region` replicas of one "api" service (the default
@@ -15,7 +16,8 @@
 // traffic rides the epoch-flushed mailboxes.
 //
 // Determinism: MegaResult::digest() is byte-identical for every shard
-// count (pinned by the workload_mega tests and check.sh). The digest
+// count (pinned by the workload_mega tests and by check.sh's ledger
+// digest gate, where mega and mega-sharded share one digest). The digest
 // excludes the mailbox and barrier counters and wall-clock throughput,
 // which are shard-count-dependent by construction.
 #pragma once

@@ -4,6 +4,12 @@
 // three replicas per cluster, wires Prometheus scraping and an L3 controller
 // in cluster-1, warms up, drives the load generator with the scenario's
 // request volume, and reports latency percentiles and success rate.
+//
+// A run is one plain Simulator on one thread. The three clusters are
+// RNG-coupled through the legacy WAN discipline (the return delay is drawn
+// dest-side on the proxy's stream), so they cannot be split across shards;
+// sharding is a run_mega capability (MegaConfig::shards, l3/workload/mega.h),
+// measured by the ledger's mega-sharded workload.
 #pragma once
 
 #include "l3/chaos/fault_plan.h"
@@ -86,15 +92,6 @@ struct RunnerConfig {
   /// simulation results are identical with this on or off (and the macros
   /// compile out entirely with L3_OBS=OFF).
   bool profile = false;
-  /// Simulator shards for the conservative-lookahead parallel engine
-  /// (l3/sim/shard_engine.h). The fig topologies couple the clusters
-  /// through the legacy WAN discipline (the return delay is drawn
-  /// dest-side on the proxy's stream), so the runner keeps every cluster
-  /// on shard 0 and extra shards idle — results are byte-identical for
-  /// every value, which the shard-invariance diffs in check.sh pin down.
-  /// Real parallel speedup comes from the presampled mega scenario
-  /// (l3/workload/mega.h).
-  std::size_t shards = 1;
 
   // Algorithm configuration.
   core::ControllerConfig controller;
@@ -133,22 +130,5 @@ RunResult run_scenario(const ScenarioTrace& trace, PolicyKind kind,
 RunResult run_scenario_with(const ScenarioTrace& trace,
                             std::unique_ptr<lb::LoadBalancingPolicy> policy,
                             const RunnerConfig& config = {});
-
-/// Runs `repetitions` times with derived seeds and returns all results
-/// (the paper repeats each benchmark 2–3 times).
-std::vector<RunResult> run_scenario_repeated(const ScenarioTrace& trace,
-                                             PolicyKind kind,
-                                             const RunnerConfig& config,
-                                             int repetitions);
-
-/// Mean P99 (seconds) across repetitions, over all requests.
-double mean_p99(const std::vector<RunResult>& results);
-
-/// Mean success rate across repetitions.
-double mean_success_rate(const std::vector<RunResult>& results);
-
-/// Mean of an arbitrary percentile accessor across repetitions.
-double mean_of(const std::vector<RunResult>& results,
-               double (*accessor)(const RunResult&));
 
 }  // namespace l3::workload

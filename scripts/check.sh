@@ -7,10 +7,9 @@
 #     its -R filter below;
 #   * with the default preset: jobs-invariance smoke diffs on figure benches
 #     (plain, chaos, the DSB call graph, and --profile), a --proxy-cost=0
-#     zero-cost identity diff, shard-invariance smoke diffs (--shards=2/4 vs
-#     the serial run, plain and chaos), the seed-42 ledger digest gate
-#     (bench/ledger, one Release rep per workload against pinned digests),
-#     and an L3_OBS=OFF byte-identical golden;
+#     zero-cost identity diff, the seed-42 ledger digest gate (bench/ledger,
+#     one Release rep per workload against pinned digests), and an
+#     L3_OBS=OFF byte-identical golden;
 #   * the Release flight-recorder overhead gate (trace_overhead --obs-gate).
 # Structural performance bugs (a picker rebuilt per pick, a scrape plan or
 # window cursor rebuilt per tick, a barrier that synchronises per event, a
@@ -63,7 +62,7 @@ for preset in "${presets[@]}"; do
     # ...plus the shard engine and mailbox suites: the conservative-barrier
     # handshake and the staging/inbox handoff are the only cross-thread
     # channels in the sharded simulator, so they run under TSan in full
-    # (including the 10k-backend mega scenario at --shards=4).
+    # (including the 10k-backend mega scenario on 4 shards).
     # ...plus the control-plane fast-path suites (WindowCursor, ColumnBlock):
     # single-threaded by design, but their cursor/plan caches are mutable
     # state the sharded runners touch per tick, so they get TSan coverage.
@@ -90,8 +89,8 @@ if [[ " ${presets[*]} " == *" default "* ]]; then
 
   # fig10 is the headline sweep; fig11 arms a FaultPlan per cell, so chaos
   # timelines are covered; fig09 runs the DSB call graph, the only
-  # multi-hop request path. Each bench's --jobs 1 run ("<bench>.j1") is the
-  # golden the later smokes diff against.
+  # multi-hop request path. fig10's --jobs 1 run ("fig10_scenarios.j1") is
+  # the golden the later smokes diff against.
   for bench in fig10_scenarios fig11_failure_latency fig09_deathstarbench; do
     echo "==> [default] jobs-invariance smoke ($bench)"
     for jobs in 1 2; do
@@ -131,26 +130,6 @@ if [[ " ${presets[*]} " == *" default "* ]]; then
       --json "$smoke_dir/pc0.json" > "$smoke_dir/pc0.out"
   same fig10_scenarios.j1 pc0
   echo "    byte-identical with --proxy-cost=0"
-
-  # Shard-invariance smoke: running the bench grid through the sharded
-  # engine must produce byte-identical stdout and JSON to the serial run
-  # at every shard count (the conservative barrier + keyed mailbox drain
-  # guarantee). Reuses the --jobs 1 goldens from above.
-  echo "==> [default] shard-invariance smoke (fig10_scenarios)"
-  for n in 2 4; do
-    ./build/bench/fig10_scenarios --fast --reps 1 --jobs 1 --shards="$n" \
-        --json "$smoke_dir/s$n.json" > "$smoke_dir/s$n.out"
-    same fig10_scenarios.j1 "s$n"
-  done
-  echo "    byte-identical at --shards=1, 2 and 4"
-
-  # Same guarantee with fault injection armed: chaos timelines ride the
-  # same keyed event order, so fig11 must be shard-count invariant too.
-  echo "==> [default] chaos shard-invariance smoke (fig11_failure_latency)"
-  ./build/bench/fig11_failure_latency --fast --reps 1 --jobs 1 --shards=2 \
-      --json "$smoke_dir/cs2.json" > "$smoke_dir/cs2.out"
-  same fig11_failure_latency.j1 cs2
-  echo "    byte-identical at --shards=1 and --shards=2 under chaos"
 
   # Ledger digest gate: one Release rep of every performance-ledger
   # workload (bench/ledger) at the default seed 42 must reproduce the pinned
@@ -215,7 +194,7 @@ cmake --build --preset release-bench -j "$(nproc)" --target trace_overhead
 
 gates="portable-RNG gate + ctest (${presets[*]})"
 if [[ " ${presets[*]} " == *" default "* ]]; then
-  gates+=" + jobs/profile/proxy-cost/shard smoke diffs + ledger digests"
+  gates+=" + jobs/profile/proxy-cost smoke diffs + ledger digests"
   gates+=" + L3_OBS=OFF golden"
 fi
 echo "All checks passed: $gates + obs overhead gate"

@@ -1,11 +1,9 @@
 #include "l3/dsb/runner.h"
 
-#include "l3/common/assert.h"
 #include "l3/metrics/obs_audit.h"
 #include "l3/metrics/scraper.h"
 #include "l3/metrics/tsdb.h"
 #include "l3/obs/recorder.h"
-#include "l3/sim/shard_engine.h"
 #include "l3/sim/simulator.h"
 #include "l3/workload/client.h"
 
@@ -99,22 +97,7 @@ workload::RunResult run_app(workload::PolicyKind kind,
         [&sim, &recorder] { recorder->sample_tracks(sim.now()); });
   }
 
-  // Same sharded-run shape as the trace runner: the topology is RNG-coupled
-  // through the legacy WAN discipline, so every cluster stays on shard 0
-  // and extra shards idle — byte-identical for every shard count.
-  if (config.shards <= 1) {
-    sim.run_until(t1 + 30.0);
-  } else {
-    sim::ShardEngine engine(config.shards);
-    engine.set_cluster_owners(
-        std::vector<std::size_t>(mesh.clusters().size(), 0));
-    engine.run([&](std::size_t shard) {
-      if (shard != 0) return;
-      sim::ShardRouter& router = engine.router(0);
-      router.attach(sim);
-      router.run_until(t1 + 30.0);
-    });
-  }
+  sim.run_until(t1 + 30.0);
   track_task.cancel();
 
   workload::RunResult result;
@@ -145,20 +128,6 @@ workload::RunResult run_hotel_reservation(workload::PolicyKind kind,
         return std::make_unique<HotelReservationApp>(mesh, std::move(clusters),
                                                      config.app, rng);
       });
-}
-
-std::vector<workload::RunResult> run_hotel_reservation_repeated(
-    workload::PolicyKind kind, const DsbRunnerConfig& config,
-    int repetitions) {
-  L3_EXPECTS(repetitions >= 1);
-  std::vector<workload::RunResult> results;
-  results.reserve(static_cast<std::size_t>(repetitions));
-  for (int i = 0; i < repetitions; ++i) {
-    DsbRunnerConfig rep = config;
-    rep.seed = config.seed + static_cast<std::uint64_t>(i) * 7919ULL;
-    results.push_back(run_hotel_reservation(kind, rep));
-  }
-  return results;
 }
 
 workload::RunResult run_social_network(workload::PolicyKind kind,

@@ -43,16 +43,15 @@ std::optional<int> take_int_value(int argc, char** argv, int& i,
   return static_cast<int>(*value);
 }
 
-/// A flag whose value is attached (`--shards=N`): a detached value would
-/// make `--shards --fast` ambiguous.
+/// A flag whose value is attached (`--proxy-cost=US`): a detached value
+/// would make `--proxy-cost --fast` ambiguous.
 struct AttachedIntFlag {
-  std::string_view name;     ///< e.g. "--shards"
+  std::string_view name;     ///< e.g. "--proxy-cost"
   std::string_view metavar;  ///< the value's name in `name=metavar`
   long long min_value;
   std::string_view expects;  ///< what the error says a value must be
 };
 
-constexpr AttachedIntFlag kShardsFlag{"--shards", "N", 1, "an integer >= 1"};
 constexpr AttachedIntFlag kProxyCostFlag{"--proxy-cost", "US", 0,
                                          "an integer >= 0 (microseconds)"};
 
@@ -94,10 +93,6 @@ std::optional<BenchArgs> try_parse_bench_args(int argc, char** argv,
       args.fast = true;
     } else if (arg == "--profile") {
       args.profile = true;
-    } else if (arg.starts_with(kShardsFlag.name)) {
-      const auto value = take_attached_int(arg, kShardsFlag, error);
-      if (!value) return std::nullopt;
-      args.shards = *value;
     } else if (arg.starts_with(kProxyCostFlag.name)) {
       const auto value = take_attached_int(arg, kProxyCostFlag, error);
       if (!value) return std::nullopt;
@@ -133,7 +128,7 @@ std::string bench_usage(std::string_view argv0) {
   usage += argv0;
   usage +=
       " [--reps N] [--fast] [--jobs N] [--json PATH] [--profile]\n"
-      "       [--shards=N] [--proxy-cost=US]\n"
+      "       [--proxy-cost=US]\n"
       "  --reps N     repetitions per configuration (default: the paper's "
       "count)\n"
       "  --fast       shrink durations/repetitions for smoke runs\n"
@@ -144,9 +139,6 @@ std::string bench_usage(std::string_view argv0) {
       "  --profile    self-profile every cell (flight recorder + timers);\n"
       "               adds a deterministic `profile` block to the JSON and\n"
       "               a wall-time table on stderr; results are unchanged\n"
-      "  --shards=N   simulator shards for the conservative-lookahead\n"
-      "               parallel engine (default 1); results are\n"
-      "               byte-identical for every N\n"
       "  --proxy-cost=US\n"
       "               per-request sidecar CPU in microseconds for the\n"
       "               data-plane cost model (default 0 = model off;\n"

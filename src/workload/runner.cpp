@@ -10,7 +10,6 @@
 #include "l3/metrics/scraper.h"
 #include "l3/metrics/tsdb.h"
 #include "l3/obs/recorder.h"
-#include "l3/sim/shard_engine.h"
 #include "l3/sim/simulator.h"
 #include "l3/workload/trace_behavior.h"
 
@@ -171,25 +170,8 @@ RunResult run_scenario_with(const ScenarioTrace& trace,
         [&sim, &recorder] { recorder->sample_tracks(sim.now()); });
   }
 
-  // Run, then drain outstanding responses. With --shards=N > 1 the run goes
-  // through the shard engine: the fig topologies are RNG-coupled through
-  // the legacy WAN discipline (the return delay is drawn dest-side on the
-  // proxy's stream), so every cluster stays on shard 0 and the extra shards
-  // idle at a +inf horizon — shard 0 then sees no coupled peer and executes
-  // the whole run in a single window, byte-identical to the plain loop.
-  if (config.shards <= 1) {
-    sim.run_until(t1 + 30.0);
-  } else {
-    sim::ShardEngine engine(config.shards);
-    engine.set_cluster_owners(
-        std::vector<std::size_t>(mesh.clusters().size(), 0));
-    engine.run([&](std::size_t shard) {
-      if (shard != 0) return;
-      sim::ShardRouter& router = engine.router(0);
-      router.attach(sim);
-      router.run_until(t1 + 30.0);
-    });
-  }
+  // Run, then drain outstanding responses.
+  sim.run_until(t1 + 30.0);
   track_task.cancel();
 
   RunResult result;
@@ -225,43 +207,6 @@ RunResult run_scenario_with(const ScenarioTrace& trace,
                            "cluster-1", result.policy);
   }
   return result;
-}
-
-std::vector<RunResult> run_scenario_repeated(const ScenarioTrace& trace,
-                                             PolicyKind kind,
-                                             const RunnerConfig& config,
-                                             int repetitions) {
-  L3_EXPECTS(repetitions >= 1);
-  std::vector<RunResult> results;
-  results.reserve(static_cast<std::size_t>(repetitions));
-  for (int i = 0; i < repetitions; ++i) {
-    RunnerConfig rep = config;
-    rep.seed = config.seed + static_cast<std::uint64_t>(i) * 1000003ULL;
-    results.push_back(run_scenario(trace, kind, rep));
-  }
-  return results;
-}
-
-double mean_p99(const std::vector<RunResult>& results) {
-  if (results.empty()) return 0.0;
-  double sum = 0.0;
-  for (const auto& r : results) sum += r.summary.latency.p99;
-  return sum / static_cast<double>(results.size());
-}
-
-double mean_success_rate(const std::vector<RunResult>& results) {
-  if (results.empty()) return 0.0;
-  double sum = 0.0;
-  for (const auto& r : results) sum += r.summary.success_rate;
-  return sum / static_cast<double>(results.size());
-}
-
-double mean_of(const std::vector<RunResult>& results,
-               double (*accessor)(const RunResult&)) {
-  if (results.empty()) return 0.0;
-  double sum = 0.0;
-  for (const auto& r : results) sum += accessor(r);
-  return sum / static_cast<double>(results.size());
 }
 
 }  // namespace l3::workload

@@ -144,7 +144,6 @@ TEST(BenchArgsTest, UsageMentionsEveryFlag) {
   EXPECT_NE(usage.find("--jobs"), std::string::npos);
   EXPECT_NE(usage.find("--json"), std::string::npos);
   EXPECT_NE(usage.find("--profile"), std::string::npos);
-  EXPECT_NE(usage.find("--shards=N"), std::string::npos);
   EXPECT_NE(usage.find("--proxy-cost=US"), std::string::npos);
 }
 
@@ -168,12 +167,10 @@ TEST(BenchArgsTest, ProxyCostZeroIsExplicitlyAllowed) {
 }
 
 TEST(BenchArgsTest, ProxyCostComposesWithOtherFlags) {
-  const auto args =
-      parse({"--fast", "--proxy-cost=100", "--shards=2", "--jobs", "3"});
+  const auto args = parse({"--fast", "--proxy-cost=100", "--jobs", "3"});
   ASSERT_TRUE(args.has_value());
   EXPECT_TRUE(args->fast);
   EXPECT_EQ(args->proxy_cost_us, 100);
-  EXPECT_EQ(args->shards, 2);
   EXPECT_EQ(args->jobs, 3);
 }
 
@@ -194,43 +191,19 @@ TEST(BenchArgsTest, RejectsDetachedProxyCostValue) {
   EXPECT_FALSE(parse({"--proxy-cost", "100"}).has_value());
 }
 
-TEST(BenchArgsTest, ShardsDefaultsToOne) {
-  const auto args = parse({});
-  ASSERT_TRUE(args.has_value());
-  EXPECT_EQ(args->shards, 1);
-}
-
-TEST(BenchArgsTest, ParsesShardsValue) {
-  const auto args = parse({"--shards=4"});
-  ASSERT_TRUE(args.has_value());
-  EXPECT_EQ(args->shards, 4);
-}
-
-TEST(BenchArgsTest, ShardsComposesWithOtherFlags) {
-  const auto args =
-      parse({"--fast", "--shards=2", "--jobs", "3", "--profile"});
-  ASSERT_TRUE(args.has_value());
-  EXPECT_TRUE(args->fast);
-  EXPECT_EQ(args->shards, 2);
-  EXPECT_EQ(args->jobs, 3);
-  EXPECT_TRUE(args->profile);
-}
-
-TEST(BenchArgsTest, RejectsInvalidShardsValues) {
-  std::string error;
-  EXPECT_FALSE(parse({"--shards=0"}, &error).has_value());
-  EXPECT_NE(error.find("--shards"), std::string::npos);
-  EXPECT_FALSE(parse({"--shards=abc"}).has_value());
-  EXPECT_FALSE(parse({"--shards=-2"}).has_value());
-  EXPECT_FALSE(parse({"--shards=2.5"}).has_value());
-  EXPECT_FALSE(parse({"--shards="}).has_value());
-}
-
-TEST(BenchArgsTest, RejectsDetachedShardsValue) {
-  std::string error;
-  EXPECT_FALSE(parse({"--shards"}, &error).has_value());
-  EXPECT_NE(error.find("--shards"), std::string::npos);
-  EXPECT_FALSE(parse({"--shards", "4"}).has_value());
+TEST(BenchArgsTest, RejectsRemovedShardsFlag) {
+  // Sharding is a property of the mega scenario (MegaConfig::shards); the
+  // three-cluster runners have one simulator, so the old knob must fail
+  // loudly instead of being silently accepted.
+  const std::vector<std::vector<std::string>> removed = {
+      {"--shards=2"}, {"--shards"}, {"--shards", "4"}};
+  for (const auto& tokens : removed) {
+    std::string error;
+    EXPECT_FALSE(parse(tokens, &error).has_value()) << tokens[0];
+    EXPECT_EQ(error, "unknown argument '" + tokens[0] + "'");
+  }
+  const std::string usage = bench_usage("bench");
+  EXPECT_EQ(usage.find("shard"), std::string::npos);
 }
 
 TEST(BenchArgsTest, AttachedFlagErrorsNameTheFlag) {
@@ -239,16 +212,12 @@ TEST(BenchArgsTest, AttachedFlagErrorsNameTheFlag) {
     EXPECT_FALSE(parse({arg}, &error).has_value()) << arg;
     return error;
   };
-  EXPECT_EQ(error_of("--shards"),
-            "--shards requires an attached value: --shards=N");
-  EXPECT_EQ(error_of("--shards=0"),
-            "--shards expects an integer >= 1, got '0'");
   EXPECT_EQ(error_of("--proxy-cost"),
             "--proxy-cost requires an attached value: --proxy-cost=US");
   EXPECT_EQ(error_of("--proxy-cost=-5"),
             "--proxy-cost expects an integer >= 0 (microseconds), got '-5'");
   // A longer spelling that merely starts with a flag's name is unknown.
-  EXPECT_EQ(error_of("--shardsX=2"), "unknown argument '--shardsX=2'");
+  EXPECT_EQ(error_of("--proxy-costX=1"), "unknown argument '--proxy-costX=1'");
 }
 
 }  // namespace
