@@ -1,73 +1,25 @@
-// Two latency-histogram implementations with distinct roles:
+// The latency histogram the metrics layer exports, and the quantile
+// estimate read from it:
 //
-//  * `LogHistogram` — a high-resolution, HDR-style logarithmic histogram used
-//    by the benchmark harness to compute ground-truth percentiles of request
-//    latency (the role wrk2's HdrHistogram plays in the paper's setup).
-//
-//  * `FixedBucketHistogram` — a coarse, fixed-boundary cumulative histogram
-//    mirroring what Linkerd proxies export to Prometheus. The L3 controller
-//    only ever sees quantiles estimated from these buckets, reproducing the
+//  * `FixedBucketHistogram` — a coarse, fixed-boundary histogram mirroring
+//    what Linkerd proxies export to Prometheus. The L3 controller only ever
+//    sees quantiles estimated from these buckets, reproducing the
 //    measurement granularity (and its artefacts) of the real system.
+//  * `histogram_quantile` — Prometheus' quantile estimate over the
+//    cumulative bucket counts.
+//
+// Client-side ground-truth percentiles do not go through a histogram: the
+// runners select them exactly from the request records (common/stats.h).
 #pragma once
 
 #include "l3/common/assert.h"
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <span>
 #include <vector>
 
 namespace l3 {
-
-/// High-resolution logarithmic histogram over positive values.
-///
-/// Buckets are geometrically spaced with ~1% relative width, covering
-/// [min_value, max_value]; values outside are clamped. Quantile queries
-/// return the geometric midpoint of the containing bucket, so the relative
-/// quantile error is bounded by half the bucket width (~0.5%).
-class LogHistogram {
- public:
-  /// Constructs a histogram covering [min_value, max_value] (seconds by
-  /// convention) with the given relative precision per bucket.
-  explicit LogHistogram(double min_value = 1e-6, double max_value = 1e4,
-                        double precision = 0.01);
-
-  /// Records one observation (clamped into range).
-  void record(double value);
-
-  /// Records `n` observations of the same value.
-  void record_n(double value, std::uint64_t n);
-
-  /// Merges another histogram with identical geometry into this one.
-  void merge(const LogHistogram& other);
-
-  /// The q-quantile (0 < q <= 1) of the recorded values, or 0 if empty.
-  double quantile(double q) const;
-
-  /// Arithmetic mean of recorded values (bucket midpoints), or 0 if empty.
-  double mean() const;
-
-  std::uint64_t count() const { return count_; }
-  double min() const { return count_ == 0 ? 0.0 : min_; }
-  double max() const { return count_ == 0 ? 0.0 : max_; }
-
-  /// Removes all observations.
-  void reset();
-
- private:
-  std::size_t index_of(double value) const;
-  double midpoint_of(std::size_t index) const;
-
-  double min_value_;
-  double log_min_;
-  double log_ratio_;  // log(1 + precision)
-  std::vector<std::uint64_t> buckets_;
-  std::uint64_t count_ = 0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-  double sum_ = 0.0;
-};
 
 /// Fixed-boundary histogram with Linkerd-style latency buckets.
 ///

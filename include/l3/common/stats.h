@@ -21,12 +21,6 @@ double percentile(std::span<const double> values, double q);
 /// unsorted sample.
 double percentile_sorted(std::span<const double> sorted, double q);
 
-/// As percentile_sorted() on the sorted sample, bit for bit, but by
-/// selection instead of a sort: partially reorders `values` in place, in
-/// O(n). Repeated calls on the same span stay exact, since any order of
-/// the sample is a valid input.
-double percentile_select(std::span<double> values, double q);
-
 /// Arithmetic mean, or 0 for an empty sample.
 double mean(std::span<const double> values);
 

@@ -69,10 +69,6 @@ struct ControllerConfig {
   /// signals freeze at their last filtered value.
   SimDuration staleness = 10.0;
 
-  /// Export controller-internal state as gauges (weight + filtered signals
-  /// per backend) into the source cluster's registry.
-  bool export_introspection = true;
-
   /// Decision-journal capacity in events (0 disables journaling). Each
   /// control tick records one event per managed split.
   std::size_t journal_capacity = 4096;

@@ -1,7 +1,9 @@
 // The Mesh facade: clusters + WAN + deployments + per-source-cluster proxies
 // and TrafficSplits + control plane + health checking + one metrics Registry
 // per cluster. This is the multi-cluster Linkerd-on-Kubernetes equivalent
-// everything else plugs into (Figure 3/5 of the paper).
+// everything else plugs into (Figure 3/5 of the paper). Every split starts
+// at an equal weight per backend, and the control plane applies weight
+// pushes at once.
 #pragma once
 
 #include "l3/common/rng.h"
@@ -33,15 +35,10 @@ struct MeshConfig {
   /// One-way in-cluster network delay (pod→pod through the sidecars).
   SimDuration local_delay = 0.0005;
   double local_jitter_frac = 0.2;
-  /// Control-plane weight-propagation delay (0 = instant).
-  SimDuration propagation_delay = 0.0;
   /// Client-side request timeout for all proxies; 0 disables.
   SimDuration request_timeout = 30.0;
   /// Health-probe interval (0 disables health checking).
   SimDuration health_probe_interval = 10.0;
-  /// Initial TrafficSplit weight per backend (equal split, i.e. the
-  /// round-robin default until a policy writes weights).
-  std::uint64_t initial_weight = 1000;
   /// Routing mode for every proxy (weighted TrafficSplit vs per-request
   /// PeakEWMA-P2C).
   RoutingMode routing = RoutingMode::kWeighted;

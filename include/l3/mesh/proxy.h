@@ -57,10 +57,6 @@ struct ProxyConfig {
   /// recorded as a failure with latency == timeout (the client's view).
   SimDuration timeout = 30.0;
   RoutingMode routing = RoutingMode::kWeighted;
-  /// Initial value / half-life of the per-backend client-side PeakEWMA
-  /// used by kPeakEwmaP2C.
-  SimDuration p2c_default_latency = 0.005;
-  SimDuration p2c_half_life = 5.0;
   OutlierDetectionConfig outlier;
   /// Data-plane cost model (DESIGN.md §16): per-request sidecar CPU, the
   /// bounded-concurrency proxy service stage and the per-edge connection

@@ -2,13 +2,10 @@
 // one source cluster's outbound traffic for a service across the service's
 // per-cluster backends, proportionally to non-negative integer weights.
 // Weight changes flow through the ControlPlane, which models the Linkerd
-// control plane's configuration push (optional propagation delay).
+// control plane's configuration push; a push takes effect at once.
 #pragma once
 
-#include "l3/common/assert.h"
-#include "l3/common/time.h"
 #include "l3/mesh/types.h"
-#include "l3/sim/simulator.h"
 
 #include <cstdint>
 #include <span>
@@ -26,10 +23,13 @@ struct SplitBackend {
 /// Traffic distribution for (source cluster, target service).
 class TrafficSplit {
  public:
-  /// Creates a split with equal initial weights for every backend.
+  /// Weight of every backend of a new split: an equal split, i.e. the
+  /// round-robin default until a policy writes weights.
+  static constexpr std::uint64_t kInitialWeight = 1000;
+
+  /// Creates a split with kInitialWeight for every backend.
   TrafficSplit(std::string service, ClusterId source,
-               std::vector<BackendRef> backends,
-               std::uint64_t initial_weight);
+               std::vector<BackendRef> backends);
 
   const std::string& service() const { return service_; }
   ClusterId source() const { return source_; }
@@ -58,32 +58,18 @@ class TrafficSplit {
   std::uint64_t generation_ = 0;
 };
 
-/// Applies weight updates to TrafficSplits after a configurable propagation
-/// delay, modelling the control-plane push to sidecar proxies (§4 notes too
-/// frequent updates are to be avoided at scale).
+/// Applies weight updates to TrafficSplits, modelling the control-plane
+/// push to sidecar proxies (§4 notes too frequent updates are to be avoided
+/// at scale) and counting the pushes.
 class ControlPlane {
  public:
-  ControlPlane(sim::Simulator& sim, SimDuration propagation_delay)
-      : sim_(sim), propagation_delay_(propagation_delay) {
-    L3_EXPECTS(propagation_delay >= 0.0);
-  }
-
-  /// Schedules `weights` to take effect on `split` after the propagation
-  /// delay (immediately when the delay is zero).
-  void apply(TrafficSplit& split, std::vector<std::uint64_t> weights);
-
-  SimDuration propagation_delay() const { return propagation_delay_; }
-  void set_propagation_delay(SimDuration d) {
-    L3_EXPECTS(d >= 0.0);
-    propagation_delay_ = d;
-  }
+  /// Applies `weights` to `split` immediately.
+  void apply(TrafficSplit& split, const std::vector<std::uint64_t>& weights);
 
   /// Number of weight updates pushed so far.
   std::uint64_t updates_applied() const { return updates_; }
 
  private:
-  sim::Simulator& sim_;
-  SimDuration propagation_delay_;
   std::uint64_t updates_ = 0;
 };
 

@@ -10,7 +10,9 @@
 //     paths (event dispatch, picker rebuilds, picks, TSDB writes/compacts,
 //     scraper snapshots, controller manage, chaos transitions, timeout-ring
 //     sweeps) aggregating into per-subsystem summaries via the selection
-//     percentile machinery (common/stats.h).
+//     percentile machinery (common/stats.h). Hot scopes time every 64th
+//     entry (L3_OBS_SCOPE_SAMPLED); each scope keeps at most
+//     kMaxWallSamples wall samples, stride-decimated.
 //
 // Threading/determinism contract: a Recorder is written through thread-local
 // shards (one per ScopedRecorderBind), so recording is lock- and atomic-free
@@ -148,15 +150,14 @@ static_assert(sizeof(RtEvent) <= 24, "RtEvent must stay small and POD");
 struct RecorderConfig {
   /// Ring capacity per domain (events kept; older entries overwritten).
   std::size_t ring_capacity = 1024;
-  /// Bounded per-scope wall-sample buffer feeding the summaries; when
-  /// full the buffer decimates (keeps every other sample, doubles the
-  /// stride) so memory stays fixed while coverage stays uniform.
-  std::size_t max_wall_samples = 2048;
   /// Counter-track buffer bound (samples across all series).
   std::size_t max_track_samples = 65536;
-  /// Time every 2^shift-th entry of SAMPLED scopes (counts stay exact).
-  unsigned timer_sample_shift = 6;
 };
+
+/// Bound of each scope's wall-sample buffer feeding the summaries; when
+/// full the buffer decimates (keeps every other sample, doubles the stride)
+/// so memory stays fixed while coverage stays uniform.
+inline constexpr std::size_t kMaxWallSamples = 2048;
 
 /// One Chrome counter-track sample (recorded by Recorder::sample_tracks).
 struct TrackSample {
@@ -287,7 +288,6 @@ class alignas(64) Shard {
   };
 
   Recorder* owner_;
-  std::size_t max_wall_samples_;
   std::array<std::uint64_t, kCounterCount> counters_{};
   struct GaugeCell {
     double value = 0.0;

@@ -27,7 +27,8 @@
 // parked shards they are coupled to (a Dekker handshake on the parked flag,
 // see acquire()/publish()). Shards with no coupled peers see safe = +inf and
 // run the whole horizon in one window, so a one-shard run executes exactly
-// the plain Simulator loop.
+// the plain Simulator loop. Shard 0 runs on the calling thread, the others on
+// spawned threads; no thread is pinned to a CPU.
 #pragma once
 
 #include "l3/common/assert.h"
@@ -153,11 +154,6 @@ class ShardEngine {
  public:
   struct Config {
     std::size_t shards = 1;
-    /// Pin each shard to a CPU and run ALL shards on spawned threads (bench
-    /// mode). Default off: shard 0 runs on the calling thread, preserving
-    /// any thread-local bindings (obs recorder, log context) the caller set
-    /// up around a pre-constructed Simulator.
-    bool pin_threads = false;
     /// Staged messages per shard pair before an early flush.
     std::size_t mailbox_capacity = 256;
   };
@@ -193,7 +189,9 @@ class ShardEngine {
     return router(owner(cluster));
   }
 
-  /// Runs `body(shard)` once per shard, in parallel. Every shard publishes
+  /// Runs `body(shard)` once per shard, in parallel: shard 0 on the calling
+  /// thread (so thread-local bindings such as an obs recorder or a log
+  /// context reach it), the others on spawned threads. Every shard publishes
   /// a +inf horizon when its body returns (or throws), so peers never block
   /// on an idle or finished shard. The first exception thrown by any body
   /// is rethrown here after all threads join.

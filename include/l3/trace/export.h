@@ -49,12 +49,4 @@ void write_chrome_trace(const std::deque<TraceRecord>& traces,
                         std::span<const FaultMarker> markers,
                         const obs::Snapshot* snapshot, std::ostream& os);
 
-/// Convenience over the tracer's completed buffer.
-inline void write_chrome_trace(const Tracer& tracer, std::ostream& os) {
-  write_chrome_trace(tracer.traces(), os);
-}
-
-/// Chrome trace-event JSON as a string.
-std::string chrome_trace_json(const Tracer& tracer);
-
 }  // namespace l3::trace

@@ -9,7 +9,8 @@
 //
 // Topology: `regions` single-cluster regions, each deploying
 // `replicas_per_region` replicas of one "api" service (the default
-// 24 × 420 = 10 080 backends). Every region runs its own open-loop client,
+// 24 × 420 = 10 080 backends), joined by 5 ms one-way WAN links with 10 %
+// jitter and no route flaps. Every region runs its own open-loop client,
 // Prometheus-style scraper + TSDB, and L3 controller — the paper's
 // production layout (§3) scaled out. Regions are assigned to shards in
 // contiguous blocks (owner(r) = r·shards/regions); all cross-region
@@ -42,19 +43,16 @@ struct MegaConfig {
   std::size_t replicas_per_region = 420;
   /// Simulator shards; must satisfy 1 <= shards <= regions.
   std::size_t shards = 1;
-  /// Pin each shard thread to a CPU (bench mode; tests leave this off).
-  bool pin_threads = false;
   std::uint64_t seed = 42;
   /// Measured duration; the run drains 5 s past this for in-flight
   /// responses.
   SimDuration duration = 10.0;
   double rps_per_region = 200.0;
 
-  // Network. `wan_base` doubles as the cross-region lookahead, so it must
-  // stay the registered link floor (the WanModel is frozen after setup).
-  SimDuration wan_base = 0.005;
-  double wan_jitter_frac = 0.10;
-  SimDuration local_delay = 0.0005;
+  /// One-way delay of every cross-region link (10 % jitter, no route
+  /// flaps). It doubles as the cross-region lookahead, so it must stay the
+  /// registered link floor (the WanModel is frozen after setup).
+  static constexpr SimDuration wan_base = 0.005;
 
   SimDuration scrape_interval = 2.0;
   /// Cadence of the shard-0 audit coordinator, which round-trips a keyed
@@ -126,8 +124,7 @@ struct MegaResult {
 };
 
 /// Runs the mega scenario. Deterministic in (config minus shards /
-/// pin_threads / mailbox_capacity): those three knobs change scheduling,
-/// not results.
+/// mailbox_capacity): those two knobs change scheduling, not results.
 MegaResult run_mega(const MegaConfig& config = {});
 
 }  // namespace l3::workload

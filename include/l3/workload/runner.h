@@ -1,15 +1,18 @@
-// The benchmark coordinator for the trace scenarios (§5.1 "TIER Mobility"):
-// builds the three-cluster test environment (Frankfurt / Paris / Milan, ≈
-// 10 ms RTT between clusters), deploys the trace-replay API workload with
-// three replicas per cluster, wires Prometheus scraping and an L3 controller
-// in cluster-1, warms up, drives the load generator with the scenario's
-// request volume, and reports latency percentiles and success rate.
+// The paper's three-cluster runs (§5.1). The Testbed is the environment
+// the trace runner below and the DeathStarBench runner (l3/dsb/runner.h)
+// both build on: the Frankfurt / Paris / Milan clusters joined by symmetric
+// WAN links (≈ 10 ms RTT), one Prometheus-style store and scraper, the
+// optional self-observation recorder, and the post-run drain and harvest.
+// The trace runner (§5.1 "TIER Mobility") deploys the trace-replay API
+// workload with three replicas per cluster into it, runs an L3 controller
+// in cluster-1 fed by scraping cluster-1, warms up, drives the load
+// generator with the scenario's request volume, and reports latency
+// percentiles and success rate.
 //
 // A run is one plain Simulator on one thread. The three clusters are
 // RNG-coupled through the legacy WAN discipline (the return delay is drawn
 // dest-side on the proxy's stream), so they cannot be split across shards;
-// sharding is a run_mega capability (MegaConfig::shards, l3/workload/mega.h),
-// measured by the ledger's mega-sharded workload.
+// sharding is a run_mega capability (MegaConfig::shards, l3/workload/mega.h).
 #pragma once
 
 #include "l3/chaos/fault_plan.h"
@@ -17,12 +20,15 @@
 #include "l3/core/controller.h"
 #include "l3/lb/c3_policy.h"
 #include "l3/lb/l3_policy.h"
+#include "l3/metrics/scraper.h"
 #include "l3/obs/recorder.h"
 #include "l3/workload/client.h"
 #include "l3/workload/scenario.h"
 
+#include <array>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -55,15 +61,8 @@ struct RunnerConfig {
   SimDuration duration = 0.0;
 
   // Test environment (§5.1).
-  std::size_t replicas_per_cluster = 3;
-  std::size_t replica_concurrency = 256;
-  std::size_t replica_queue_capacity = 2048;
   SimDuration wan_one_way = 0.005;  ///< ≈10 ms RTT between clusters
-  double wan_jitter_frac = 0.10;
-  SimDuration wan_flap_amp = 0.001;
-  SimDuration local_one_way = 0.0005;
   SimDuration scrape_interval = 5.0;
-  SimDuration propagation_delay = 0.0;
   bool poisson_arrivals = false;
   /// Client-side retries on failed requests (0 = the paper's setup).
   int client_retries = 0;
@@ -116,6 +115,63 @@ struct RunResult {
   mesh::ProxyCostStats proxy_cost_stats;
   /// Deterministic self-profile digest (empty unless RunnerConfig::profile).
   obs::ProfileBlock profile;
+};
+
+/// The testbed's clusters by id: cluster-1 (eu-central-1, Frankfurt),
+/// cluster-2 (eu-west-3, Paris) and cluster-3 (eu-south-1, Milan). The load
+/// generator runs in cluster-1.
+inline constexpr std::array<mesh::ClusterId, 3> kTestbedClusters{0, 1, 2};
+
+/// One run of the paper's testbed (see the top of this file). Its
+/// environment comes from `config`'s seed, profile flag, warm-up, mesh
+/// settings (routing, outlier, proxy_cost, request_timeout,
+/// health_probe_interval), wan_one_way, scrape_interval and the
+/// controller's query window, which sizes the store: the controllers are
+/// its only readers. Construction builds the simulator, recorder bind,
+/// mesh, clusters, WAN links, store and scraper; the runner then deploys
+/// its application, calls start_scraping(), starts its controllers and
+/// client, and calls run() and harvest(). That order is the events'
+/// tie-break order at equal times, so the outputs depend on it.
+class Testbed {
+ public:
+  /// `scrape_targets` are the clusters whose registries the scraper reads;
+  /// `end` is the end of measurement.
+  Testbed(const RunnerConfig& config,
+          std::span<const mesh::ClusterId> scrape_targets, SimTime end);
+
+  sim::Simulator& sim() { return sim_; }
+  /// The run's root random stream; runners split their parts off it.
+  SplitRng& rng() { return rng_; }
+  mesh::Mesh& mesh() { return mesh_; }
+  metrics::TimeSeriesDb& tsdb() { return tsdb_; }
+  metrics::Scraper& scraper() { return scraper_; }
+
+  /// Starts the scraper. Call after the application is deployed.
+  void start_scraping();
+  /// Samples the recorder's counter tracks at the scrape cadence and runs
+  /// the simulation to the end of measurement plus a 30 s drain.
+  void run();
+  /// The run's result: the post-warm-up summary and timeline from the
+  /// client's `records`, the mesh's weight updates, an all-zero traffic
+  /// share and, when profiling, the self-profile. Profiling also publishes
+  /// the audit families into cluster-1's registry under `policy`.
+  RunResult harvest(std::string policy, std::string scenario,
+                    std::span<const RequestRecord> records);
+
+ private:
+  SimDuration scrape_interval_;
+  SimTime start_;
+  SimTime end_;
+  sim::Simulator sim_;
+  // Bound before the mesh is built, so the whole run is recorded. The
+  // instrumentation reads thread-local state only (no RNG draws, no events),
+  // so binding it cannot change simulation results.
+  std::unique_ptr<obs::Recorder> recorder_;
+  std::unique_ptr<obs::ScopedRecorderBind> recorder_bind_;
+  SplitRng rng_;
+  mesh::Mesh mesh_;
+  metrics::TimeSeriesDb tsdb_;
+  metrics::Scraper scraper_;
 };
 
 /// Runs one scenario under one policy. Deterministic in (trace, kind, cfg).

@@ -5,86 +5,6 @@
 
 namespace l3 {
 
-LogHistogram::LogHistogram(double min_value, double max_value,
-                           double precision)
-    : min_value_(min_value),
-      log_min_(std::log(min_value)),
-      log_ratio_(std::log1p(precision)) {
-  L3_EXPECTS(min_value > 0.0);
-  L3_EXPECTS(max_value > min_value);
-  L3_EXPECTS(precision > 0.0 && precision < 1.0);
-  const auto n = static_cast<std::size_t>(
-                     std::ceil((std::log(max_value) - log_min_) / log_ratio_)) +
-                 1;
-  buckets_.assign(n, 0);
-}
-
-std::size_t LogHistogram::index_of(double value) const {
-  if (value <= min_value_) return 0;
-  const auto idx =
-      static_cast<std::size_t>((std::log(value) - log_min_) / log_ratio_);
-  return std::min(idx, buckets_.size() - 1);
-}
-
-double LogHistogram::midpoint_of(std::size_t index) const {
-  // Geometric midpoint of bucket [min * r^i, min * r^(i+1)).
-  return std::exp(log_min_ + (static_cast<double>(index) + 0.5) * log_ratio_);
-}
-
-void LogHistogram::record(double value) { record_n(value, 1); }
-
-void LogHistogram::record_n(double value, std::uint64_t n) {
-  if (n == 0) return;
-  L3_EXPECTS(std::isfinite(value));
-  buckets_[index_of(value)] += n;
-  count_ += n;
-  min_ = std::min(min_, value);
-  max_ = std::max(max_, value);
-  sum_ += value * static_cast<double>(n);
-}
-
-void LogHistogram::merge(const LogHistogram& other) {
-  L3_EXPECTS(buckets_.size() == other.buckets_.size());
-  L3_EXPECTS(log_ratio_ == other.log_ratio_ && log_min_ == other.log_min_);
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    buckets_[i] += other.buckets_[i];
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-double LogHistogram::quantile(double q) const {
-  L3_EXPECTS(q > 0.0 && q <= 1.0);
-  if (count_ == 0) return 0.0;
-  const auto rank = static_cast<std::uint64_t>(
-      std::ceil(q * static_cast<double>(count_)));
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    seen += buckets_[i];
-    if (seen >= rank) {
-      // Clamp the estimate by the exact observed extrema so that e.g. the
-      // P100 of a single sample is the sample itself.
-      return std::clamp(midpoint_of(i), min_, max_);
-    }
-  }
-  return max_;
-}
-
-double LogHistogram::mean() const {
-  if (count_ == 0) return 0.0;
-  return sum_ / static_cast<double>(count_);
-}
-
-void LogHistogram::reset() {
-  std::fill(buckets_.begin(), buckets_.end(), 0);
-  count_ = 0;
-  sum_ = 0.0;
-  min_ = std::numeric_limits<double>::infinity();
-  max_ = -std::numeric_limits<double>::infinity();
-}
-
 const std::vector<double>& FixedBucketHistogram::default_latency_bounds() {
   // Linkerd proxy response_latency_ms bucket bounds, converted to seconds.
   static const std::vector<double> kBounds = {

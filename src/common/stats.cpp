@@ -98,21 +98,6 @@ double percentile_sorted(std::span<const double> sorted, double q) {
   return p.interpolate(sorted[p.lo], sorted[p.hi]);
 }
 
-double percentile_select(std::span<double> values, double q) {
-  L3_EXPECTS(q >= 0.0 && q <= 1.0);
-  if (values.empty()) return 0.0;
-  if (values.size() == 1) return values.front();
-  // percentile_sorted() interpolates between the lo-th and (lo+1)-th order
-  // statistics. nth_element places the lo-th and leaves only values >= it
-  // after it, so the (lo+1)-th is the smallest of that tail.
-  const QuantilePos p = quantile_pos(values.size(), q);
-  const auto nth = values.begin() + static_cast<std::ptrdiff_t>(p.lo);
-  std::nth_element(values.begin(), nth, values.end());
-  const double hi = p.hi > p.lo ? *std::min_element(nth + 1, values.end())
-                                : *nth;
-  return p.interpolate(*nth, hi);
-}
-
 double mean(std::span<const double> values) {
   if (values.empty()) return 0.0;
   double sum = 0.0;

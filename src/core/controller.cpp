@@ -146,20 +146,16 @@ void L3Controller::manage(mesh::TrafficSplit& split) {
     keys.inflight.push_back(tsdb_.series(mn::backend_series(
         mn::kInflight, split.service(), src_name, dst_name)));
 
-    if (config_.export_introspection) {
-      auto& registry = mesh_.registry(source_);
-      const auto labels =
-          mn::backend_labels(split.service(), src_name, dst_name);
-      ManagedSplit::IntrospectionGauges gauges;
-      gauges.weight = &registry.gauge("l3_backend_weight", labels);
-      gauges.latency_p99 =
-          &registry.gauge("l3_backend_latency_p99_ewma", labels);
-      gauges.success_rate =
-          &registry.gauge("l3_backend_success_rate_ewma", labels);
-      gauges.rps = &registry.gauge("l3_backend_rps_ewma", labels);
-      gauges.inflight = &registry.gauge("l3_backend_inflight_ewma", labels);
-      managed->introspection.push_back(gauges);
-    }
+    auto& registry = mesh_.registry(source_);
+    const auto labels = mn::backend_labels(split.service(), src_name, dst_name);
+    ManagedSplit::IntrospectionGauges gauges;
+    gauges.weight = &registry.gauge("l3_backend_weight", labels);
+    gauges.latency_p99 = &registry.gauge("l3_backend_latency_p99_ewma", labels);
+    gauges.success_rate =
+        &registry.gauge("l3_backend_success_rate_ewma", labels);
+    gauges.rps = &registry.gauge("l3_backend_rps_ewma", labels);
+    gauges.inflight = &registry.gauge("l3_backend_inflight_ewma", labels);
+    managed->introspection.push_back(gauges);
   }
   managed->last_weights = split.weights();
   managed_.push_back(std::move(managed));
@@ -365,15 +361,15 @@ void L3Controller::tick_split(ManagedSplit& managed) {
     journal_.record(std::move(event));
   }
 
-  if (config_.export_introspection) {
-    for (std::size_t i = 0; i < refs.size(); ++i) {
-      const auto& gauges = managed.introspection[i];
-      gauges.weight->set(static_cast<double>(weights[i]));
-      gauges.latency_p99->set(signals[i].latency_p99);
-      gauges.success_rate->set(signals[i].success_rate);
-      gauges.rps->set(signals[i].rps);
-      gauges.inflight->set(signals[i].inflight);
-    }
+  // Controller-internal state as gauges (weight + filtered signals per
+  // backend) in the source cluster's registry.
+  for (std::size_t i = 0; i < refs.size(); ++i) {
+    const auto& gauges = managed.introspection[i];
+    gauges.weight->set(static_cast<double>(weights[i]));
+    gauges.latency_p99->set(signals[i].latency_p99);
+    gauges.success_rate->set(signals[i].success_rate);
+    gauges.rps->set(signals[i].rps);
+    gauges.inflight->set(signals[i].inflight);
   }
 }
 

@@ -8,7 +8,6 @@ Mesh::Mesh(sim::Simulator& sim, SplitRng rng, MeshConfig config)
     : sim_(sim),
       rng_(rng),
       config_(config),
-      control_plane_(sim, config.propagation_delay),
       health_(sim) {
   if (config_.health_probe_interval > 0.0) {
     health_.start(config_.health_probe_interval);
@@ -105,8 +104,8 @@ Proxy& Mesh::proxy(ClusterId source, const std::string& service) {
   for (const auto* d : deployments) {
     refs.push_back(BackendRef{service, d->cluster()});
   }
-  auto split = std::make_unique<TrafficSplit>(service, source, std::move(refs),
-                                              config_.initial_weight);
+  auto split =
+      std::make_unique<TrafficSplit>(service, source, std::move(refs));
   TrafficSplit& split_ref = *split;
   splits_.emplace(key, std::move(split));
   split_order_.emplace_back(source, &split_ref);

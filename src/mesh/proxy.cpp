@@ -57,8 +57,8 @@ Proxy::Proxy(sim::Simulator& sim, const WanModel& wan, ClusterId source,
         &registry.counter(metric_names::kLatencySuccessSum, labels),
         &registry.counter(metric_names::kLatencyFailureSum, labels),
         &registry.gauge(metric_names::kInflight, labels),
-        metrics::PeakEwma(config.p2c_default_latency, config.p2c_half_life,
-                          sim.now()),
+        // kPeakEwmaP2C's client-side score: 5 ms initial, 5 s half-life.
+        metrics::PeakEwma(0.005, 5.0, sim.now()),
         0,
     };
     backends_.push_back(std::move(slot));

@@ -1,18 +1,18 @@
 #include "l3/mesh/traffic_split.h"
 
+#include "l3/common/assert.h"
+
 #include <utility>
 
 namespace l3::mesh {
 
 TrafficSplit::TrafficSplit(std::string service, ClusterId source,
-                           std::vector<BackendRef> backends,
-                           std::uint64_t initial_weight)
+                           std::vector<BackendRef> backends)
     : service_(std::move(service)), source_(source) {
   L3_EXPECTS(!backends.empty());
-  L3_EXPECTS(initial_weight >= 1);
   backends_.reserve(backends.size());
   for (auto& ref : backends) {
-    backends_.push_back(SplitBackend{std::move(ref), initial_weight});
+    backends_.push_back(SplitBackend{std::move(ref), kInitialWeight});
   }
 }
 
@@ -38,17 +38,10 @@ void TrafficSplit::set_weights(std::span<const std::uint64_t> weights) {
 }
 
 void ControlPlane::apply(TrafficSplit& split,
-                         std::vector<std::uint64_t> weights) {
+                         const std::vector<std::uint64_t>& weights) {
   L3_EXPECTS(weights.size() == split.backend_count());
   ++updates_;
-  if (propagation_delay_ <= 0.0) {
-    split.set_weights(weights);
-    return;
-  }
-  sim_.schedule_after(propagation_delay_,
-                      [&split, weights = std::move(weights)] {
-                        split.set_weights(weights);
-                      });
+  split.set_weights(weights);
 }
 
 }  // namespace l3::mesh

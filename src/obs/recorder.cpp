@@ -134,7 +134,7 @@ void ProfileBlock::merge(const ProfileBlock& other) {
 // Shard
 
 Shard::Shard(const RecorderConfig& config, Recorder* owner)
-    : owner_(owner), max_wall_samples_(std::max<std::size_t>(config.max_wall_samples, 2)) {
+    : owner_(owner) {
   for (auto& ring : rings_) {
     ring.buf.resize(config.ring_capacity);
   }
@@ -156,9 +156,9 @@ void Shard::record_scope_ns(ScopeId id, double ns) {
   s.max_ns = std::max(s.max_ns, ns);
   // Bounded reservoir with deterministic stride decimation: when full, keep
   // every other kept sample and double the stride. Coverage stays uniform
-  // over the run, memory stays O(max_wall_samples).
+  // over the run, memory stays O(kMaxWallSamples).
   if (s.stride_phase++ % s.stride != 0) return;
-  if (s.samples.size() >= max_wall_samples_) {
+  if (s.samples.size() >= kMaxWallSamples) {
     std::vector<double> kept;
     kept.reserve(s.samples.size() / 2 + 1);
     for (std::size_t i = 0; i < s.samples.size(); i += 2) {

@@ -7,11 +7,6 @@
 #include <thread>
 #include <utility>
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace l3::sim {
 
 namespace {
@@ -28,21 +23,6 @@ inline void cpu_relax() {
   __builtin_ia32_pause();
 #elif defined(__aarch64__)
   asm volatile("yield" ::: "memory");
-#endif
-}
-
-void pin_to_cpu(std::thread& t, std::size_t cpu) {
-#if defined(__linux__)
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<int>(cpu % hw), &set);
-  // Best effort: a failed pin (restricted affinity mask) degrades the bench
-  // numbers, not correctness.
-  (void)pthread_setaffinity_np(t.native_handle(), sizeof(set), &set);
-#else
-  (void)t;
-  (void)cpu;
 #endif
 }
 }  // namespace
@@ -215,14 +195,14 @@ void ShardEngine::prepare() {
 
 void ShardEngine::run(const std::function<void(std::size_t)>& body) {
   prepare();
+  // Shard 0 runs on the calling thread, preserving any thread-local
+  // bindings (obs recorder, log context) the caller set up around it.
   std::vector<std::thread> threads;
-  const std::size_t first_spawned = config_.pin_threads ? 0 : 1;
-  threads.reserve(shard_count_ - first_spawned);
-  for (std::size_t s = first_spawned; s < shard_count_; ++s) {
+  threads.reserve(shard_count_ - 1);
+  for (std::size_t s = 1; s < shard_count_; ++s) {
     threads.emplace_back([this, s, &body] { run_shard(s, body); });
-    if (config_.pin_threads) pin_to_cpu(threads.back(), s);
   }
-  if (!config_.pin_threads) run_shard(0, body);
+  run_shard(0, body);
   for (auto& t : threads) t.join();
   if (first_error_) std::rethrow_exception(first_error_);
 }

@@ -4,7 +4,6 @@
 
 #include <cstdio>
 #include <ostream>
-#include <sstream>
 
 namespace l3::trace {
 namespace {
@@ -117,12 +116,6 @@ void write_chrome_trace(const std::deque<TraceRecord>& traces,
     obs::write_chrome_fragment(*snapshot, pid, first, os);
   }
   os << "\n]}\n";
-}
-
-std::string chrome_trace_json(const Tracer& tracer) {
-  std::ostringstream os;
-  write_chrome_trace(tracer.traces(), os);
-  return os.str();
 }
 
 }  // namespace l3::trace

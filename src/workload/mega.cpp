@@ -33,7 +33,6 @@ std::size_t region_owner(std::size_t region, std::size_t regions,
 mesh::MeshConfig make_mesh_config(const MegaConfig& config,
                                   sim::ShardRouter& router) {
   mesh::MeshConfig mc;
-  mc.local_delay = config.local_delay;
   // Health probes would read remote replica state across shard boundaries;
   // mega keeps failure visibility metrics-only (like the chaos benches).
   mc.health_probe_interval = 0.0;
@@ -78,8 +77,7 @@ struct ShardState {
       mesh.add_cluster("region-" + std::to_string(r));
     }
     mesh::WanModel::Link link;
-    link.base = cfg.wan_base;
-    link.jitter_frac = cfg.wan_jitter_frac;
+    link.base = MegaConfig::wan_base;
     link.flap_amp = 0.0;  // flap-free: the base is the effective floor
     for (std::uint32_t i = 0; i < cfg.regions; ++i) {
       for (std::uint32_t j = 0; j < cfg.regions; ++j) {
@@ -177,7 +175,7 @@ struct ShardState {
     sim::ShardEngine* const eng = &engine;
     const mesh::ServiceDeployment* const* const deps = dep_of_region.data();
     std::vector<MegaAuditEntry>* const log = &audit;
-    const SimDuration la = config.wan_base;
+    const SimDuration la = MegaConfig::wan_base;
     const auto regions = static_cast<std::uint32_t>(config.regions);
     audit_task = sim.schedule_every(
         config.audit_interval, [this, eng, deps, log, la, regions] {
@@ -223,7 +221,6 @@ MegaResult run_mega(const MegaConfig& config) {
   L3_EXPECTS(config.shards >= 1);
   L3_EXPECTS(config.shards <= config.regions);
   L3_EXPECTS(config.replicas_per_region >= 1);
-  L3_EXPECTS(config.wan_base > 0.0);
   L3_EXPECTS(config.duration > 0.0);
   L3_EXPECTS(!config.chaos || config.regions >= 3);
 
@@ -232,7 +229,6 @@ MegaResult run_mega(const MegaConfig& config) {
 
   sim::ShardEngine::Config ecfg;
   ecfg.shards = shards;
-  ecfg.pin_threads = config.pin_threads;
   ecfg.mailbox_capacity = config.mailbox_capacity;
   sim::ShardEngine engine(ecfg);
   std::vector<std::size_t> owners(regions);
@@ -242,7 +238,7 @@ MegaResult run_mega(const MegaConfig& config) {
   engine.set_cluster_owners(std::move(owners));
   for (std::uint32_t i = 0; i < regions; ++i) {
     for (std::uint32_t j = 0; j < regions; ++j) {
-      if (i != j) engine.set_cluster_lookahead(i, j, config.wan_base);
+      if (i != j) engine.set_cluster_lookahead(i, j, MegaConfig::wan_base);
     }
   }
 

@@ -7,15 +7,10 @@
 #include "l3/lb/policy.h"
 #include "l3/mesh/mesh.h"
 #include "l3/metrics/obs_audit.h"
-#include "l3/metrics/scraper.h"
-#include "l3/metrics/tsdb.h"
-#include "l3/obs/recorder.h"
-#include "l3/sim/simulator.h"
 #include "l3/workload/trace_behavior.h"
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 #include <utility>
 
 namespace l3::workload {
@@ -50,6 +45,87 @@ std::unique_ptr<lb::LoadBalancingPolicy> make_policy(
   return nullptr;
 }
 
+namespace {
+
+/// The mesh settings a RunnerConfig carries.
+mesh::MeshConfig mesh_config(const RunnerConfig& config) {
+  mesh::MeshConfig mc;
+  mc.routing = config.routing;
+  mc.outlier_detection = config.outlier;
+  mc.proxy_cost = config.proxy_cost;
+  mc.request_timeout = config.request_timeout;
+  mc.health_probe_interval = config.health_probe_interval;
+  return mc;
+}
+
+}  // namespace
+
+Testbed::Testbed(const RunnerConfig& config,
+                 std::span<const mesh::ClusterId> scrape_targets, SimTime end)
+    : scrape_interval_(config.scrape_interval),
+      start_(config.warmup),
+      end_(end),
+      recorder_(config.profile ? std::make_unique<obs::Recorder>() : nullptr),
+      recorder_bind_(recorder_
+                         ? std::make_unique<obs::ScopedRecorderBind>(*recorder_)
+                         : nullptr),
+      rng_(config.seed),
+      mesh_(sim_, rng_.split("mesh"), mesh_config(config)),
+      tsdb_(config.controller.query_window),
+      scraper_(sim_, tsdb_) {
+  mesh_.add_cluster("cluster-1", "eu-central-1");
+  mesh_.add_cluster("cluster-2", "eu-west-3");
+  mesh_.add_cluster("cluster-3", "eu-south-1");
+  const auto [c1, c2, c3] = kTestbedClusters;
+  mesh::WanModel::Link link;
+  link.base = config.wan_one_way;
+  link.flap_amp = 0.001;  // jitter_frac keeps the Link default, 10 %
+  mesh_.wan().set_symmetric(c1, c2, link);
+  mesh_.wan().set_symmetric(c1, c3, link);
+  mesh_.wan().set_symmetric(c2, c3, link);
+  for (const mesh::ClusterId c : scrape_targets) {
+    scraper_.add_target(mesh_.cluster_names()[c], mesh_.registry(c));
+  }
+}
+
+void Testbed::start_scraping() { scraper_.start(scrape_interval_); }
+
+void Testbed::run() {
+  // The sampler mutates only recorder state, so its extra periodic events
+  // leave the simulation's behaviour (RNG streams, request outcomes)
+  // untouched.
+  sim::PeriodicHandle track_task;
+  if (recorder_) {
+    track_task = sim_.schedule_every(
+        std::max(scrape_interval_, 1.0),
+        [this] { recorder_->sample_tracks(sim_.now()); });
+  }
+  sim_.run_until(end_ + 30.0);
+  track_task.cancel();
+}
+
+RunResult Testbed::harvest(std::string policy, std::string scenario,
+                           std::span<const RequestRecord> records) {
+  RunResult result;
+  result.policy = std::move(policy);
+  result.scenario = std::move(scenario);
+  // The records are read in place; the warm-up is filtered as they are.
+  result.summary = summarize_records(records, start_);
+  result.timeline = aggregate_timeline(records, start_, end_);
+  result.requests = result.summary.count;
+  result.weight_updates = mesh_.control_plane().updates_applied();
+  result.traffic_share.assign(mesh_.clusters().size(), 0.0);
+  if (!recorder_) return result;
+  recorder_->sample_tracks(sim_.now());  // close the counter tracks
+  result.profile = recorder_->profile();
+  // Audit tier: the final exposition of the controller cluster's registry
+  // carries the low-cardinality l3_obs_* families.
+  metrics::publish_audit(recorder_->snapshot(),
+                         mesh_.registry(kTestbedClusters[0]), "cluster-1",
+                         result.policy);
+  return result;
+}
+
 RunResult run_scenario(const ScenarioTrace& trace, PolicyKind kind,
                        const RunnerConfig& config) {
   return run_scenario_with(trace, make_policy(kind, config.l3, config.c3),
@@ -65,50 +141,20 @@ RunResult run_scenario_with(const ScenarioTrace& trace,
       config.duration > 0.0 ? std::min(config.duration, trace.duration())
                             : trace.duration();
 
-  sim::Simulator sim;
+  const SimTime t0 = config.warmup;
+  const SimTime t1 = config.warmup + measured;
+  const mesh::ClusterId c1 = kTestbedClusters[0];
 
-  // Self-observation: bind a flight recorder to this (simulation) thread for
-  // the lifetime of the run. The instrumentation macros only read thread-
-  // local state — no RNG draws, no event scheduling — so enabling the
-  // recorder cannot change simulation results.
-  std::optional<obs::Recorder> recorder;
-  std::optional<obs::ScopedRecorderBind> recorder_bind;
-  if (config.profile) {
-    recorder.emplace();
-    recorder_bind.emplace(*recorder);
-  }
-
-  SplitRng root(config.seed);
-
-  mesh::MeshConfig mesh_config;
-  mesh_config.local_delay = config.local_one_way;
-  mesh_config.propagation_delay = config.propagation_delay;
-  mesh_config.routing = config.routing;
-  mesh_config.outlier_detection = config.outlier;
-  mesh_config.proxy_cost = config.proxy_cost;
-  mesh_config.request_timeout = config.request_timeout;
-  mesh_config.health_probe_interval = config.health_probe_interval;
-  mesh::Mesh mesh(sim, root.split("mesh"), mesh_config);
-
-  const auto c1 = mesh.add_cluster("cluster-1", "eu-central-1");
-  const auto c2 = mesh.add_cluster("cluster-2", "eu-west-3");
-  const auto c3 = mesh.add_cluster("cluster-3", "eu-south-1");
-  mesh::WanModel::Link wan_link;
-  wan_link.base = config.wan_one_way;
-  wan_link.jitter_frac = config.wan_jitter_frac;
-  wan_link.flap_amp = config.wan_flap_amp;
-  mesh.wan().set_symmetric(c1, c2, wan_link);
-  mesh.wan().set_symmetric(c1, c3, wan_link);
-  mesh.wan().set_symmetric(c2, c3, wan_link);
+  Testbed bed(config, std::array{c1}, t1);
+  mesh::Mesh& mesh = bed.mesh();
 
   // Deploy the trace-replay API workload in every cluster.
   auto shared_trace = std::make_shared<const ScenarioTrace>(trace);
-  mesh::DeploymentConfig dc;
-  dc.replicas = config.replicas_per_cluster;
-  dc.concurrency = config.replica_concurrency;
-  dc.queue_capacity = config.replica_queue_capacity;
+  mesh::DeploymentConfig dc;  // three replicas per cluster (§5.1)
+  dc.concurrency = 256;
+  dc.queue_capacity = 2048;
   const std::string service = "api";
-  for (mesh::ClusterId c : {c1, c2, c3}) {
+  for (const mesh::ClusterId c : kTestbedClusters) {
     mesh.deploy(service, c, dc,
                 std::make_unique<TraceReplayBehavior>(shared_trace, c,
                                                       config.warmup));
@@ -116,16 +162,11 @@ RunResult run_scenario_with(const ScenarioTrace& trace,
 
   // Materialise the cluster-1 proxy + TrafficSplit before managing it.
   mesh.proxy(c1, service);
+  bed.start_scraping();
 
-  // Prometheus + L3 controller (in cluster-1, like the paper's setup).
-  // The controller is the store's only reader: keep exactly its window.
-  metrics::TimeSeriesDb tsdb(config.controller.query_window);
-  metrics::Scraper scraper(sim, tsdb);
-  scraper.add_target("cluster-1", mesh.registry(c1));
-  scraper.start(config.scrape_interval);
-
+  // The L3 controller runs in cluster-1, like the paper's setup.
   const std::string policy_label(policy->name());
-  core::L3Controller controller(mesh, tsdb, c1, std::move(policy),
+  core::L3Controller controller(mesh, bed.tsdb(), c1, std::move(policy),
                                 config.controller);
   if (config.controller.dynamic_penalty) {
     if (auto* l3_policy = dynamic_cast<lb::L3Policy*>(&controller.policy())) {
@@ -141,14 +182,12 @@ RunResult run_scenario_with(const ScenarioTrace& trace,
   controller.start();
 
   // Fault injection: plan times are relative to measurement start.
-  chaos::FaultInjector injector(sim, mesh);
-  injector.set_scraper(&scraper);
+  chaos::FaultInjector injector(bed.sim(), mesh);
+  injector.set_scraper(&bed.scraper());
   injector.add_controller(&controller);
   if (!config.faults.empty()) injector.arm(config.faults, config.warmup);
 
   // Load generator in cluster-1 driving the scenario's request volume.
-  const SimTime t0 = config.warmup;
-  const SimTime t1 = config.warmup + measured;
   OpenLoopClient::Config client_config;
   client_config.mode = CallMode::kViaSplit;
   client_config.poisson = config.poisson_arrivals;
@@ -157,38 +196,17 @@ RunResult run_scenario_with(const ScenarioTrace& trace,
   OpenLoopClient client(
       mesh, c1, service,
       [&trace, t0](SimTime t) { return trace.rps_at(std::max(0.0, t - t0)); },
-      root.split("client"), client_config);
+      bed.rng().split("client"), client_config);
   client.start(0.0, t1);
 
-  // Counter-track sampling at the scrape cadence. The sampler mutates only
-  // recorder state, so the extra periodic events leave the simulation's
-  // behaviour (RNG streams, request outcomes) untouched.
-  sim::PeriodicHandle track_task;
-  if (recorder) {
-    track_task = sim.schedule_every(
-        std::max(config.scrape_interval, 1.0),
-        [&sim, &recorder] { recorder->sample_tracks(sim.now()); });
-  }
+  bed.run();
 
-  // Run, then drain outstanding responses.
-  sim.run_until(t1 + 30.0);
-  track_task.cancel();
-
-  RunResult result;
-  result.policy = policy_label;
-  result.scenario = trace.name();
-  // Everything below reads the client's records in place; the warm-up
-  // (sent < t0) is filtered as they are read.
-  const std::span<const RequestRecord> records = client.records();
-  result.summary = summarize_records(records, t0);
-  result.timeline = aggregate_timeline(records, t0, t1);
-  result.requests = result.summary.count;
-  result.weight_updates = mesh.control_plane().updates_applied();
+  RunResult result = bed.harvest(policy_label, trace.name(), client.records());
   result.proxy_cost_stats = mesh.proxy(c1, service).cost_stats();
-  result.traffic_share.assign(mesh.clusters().size(), 0.0);
+  // Post-warm-up traffic share per backend cluster and mean attempts.
   if (result.requests > 0) {
     double attempts = 0.0;
-    for (const auto& r : records) {
+    for (const auto& r : client.records()) {
       if (r.sent < t0) continue;
       result.traffic_share[r.backend_cluster] += 1.0;
       attempts += static_cast<double>(r.attempts);
@@ -197,14 +215,6 @@ RunResult run_scenario_with(const ScenarioTrace& trace,
       share /= static_cast<double>(result.requests);
     }
     result.mean_attempts = attempts / static_cast<double>(result.requests);
-  }
-  if (recorder) {
-    recorder->sample_tracks(sim.now());  // close the counter tracks
-    result.profile = recorder->profile();
-    // Audit tier: the final exposition of the controller cluster's registry
-    // carries the low-cardinality l3_obs_* families.
-    metrics::publish_audit(recorder->snapshot(), mesh.registry(c1),
-                           "cluster-1", result.policy);
   }
   return result;
 }

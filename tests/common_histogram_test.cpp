@@ -1,5 +1,5 @@
-// Unit + property tests for both histogram implementations and the
-// Prometheus-style histogram_quantile.
+// Unit + property tests for FixedBucketHistogram and the Prometheus-style
+// histogram_quantile.
 #include "l3/common/histogram.h"
 
 #include "l3/common/assert.h"
@@ -13,85 +13,15 @@
 namespace l3 {
 namespace {
 
-TEST(LogHistogram, EmptyReportsZero) {
-  LogHistogram h;
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.quantile(0.99), 0.0);
-  EXPECT_EQ(h.mean(), 0.0);
-}
-
-TEST(LogHistogram, SingleValueQuantilesAreExact) {
-  LogHistogram h;
-  h.record(0.123);
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 0.123);
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), 0.123);
-  EXPECT_DOUBLE_EQ(h.min(), 0.123);
-  EXPECT_DOUBLE_EQ(h.max(), 0.123);
-}
-
-TEST(LogHistogram, QuantileWithinRelativeErrorBound) {
-  LogHistogram h(1e-6, 1e4, 0.01);
-  SplitRng rng(1);
-  std::vector<double> values;
-  for (int i = 0; i < 100000; ++i) {
-    const double v = rng.lognormal(-3.0, 1.0);
-    values.push_back(v);
-    h.record(v);
+/// The Prometheus cumulative form of `h`'s per-bucket counts.
+std::vector<double> cumulative_counts(const FixedBucketHistogram& h) {
+  std::vector<double> cumulative(h.counts().size());
+  double running = 0.0;
+  for (std::size_t i = 0; i < cumulative.size(); ++i) {
+    running += static_cast<double>(h.counts()[i]);
+    cumulative[i] = running;
   }
-  for (double q : {0.5, 0.9, 0.99, 0.999}) {
-    const double exact = percentile(values, q);
-    const double approx = h.quantile(q);
-    EXPECT_NEAR(approx / exact, 1.0, 0.02) << "q=" << q;
-  }
-}
-
-TEST(LogHistogram, MeanTracksExactMean) {
-  LogHistogram h;
-  SplitRng rng(2);
-  double sum = 0.0;
-  const int n = 10000;
-  for (int i = 0; i < n; ++i) {
-    const double v = rng.uniform(0.01, 0.5);
-    sum += v;
-    h.record(v);
-  }
-  EXPECT_NEAR(h.mean(), sum / n, 1e-9);  // mean uses the exact sum
-}
-
-TEST(LogHistogram, ClampsOutOfRangeValues) {
-  LogHistogram h(1e-3, 10.0, 0.01);
-  h.record(1e-9);   // below range
-  h.record(1e6);    // above range
-  EXPECT_EQ(h.count(), 2u);
-  EXPECT_GT(h.quantile(1.0), 0.0);
-}
-
-TEST(LogHistogram, MergeCombinesCounts) {
-  LogHistogram a, b;
-  a.record(0.1);
-  b.record(0.2);
-  b.record(0.3);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 3u);
-  EXPECT_DOUBLE_EQ(a.max(), 0.3);
-  EXPECT_DOUBLE_EQ(a.min(), 0.1);
-}
-
-TEST(LogHistogram, ResetClears) {
-  LogHistogram h;
-  h.record(0.5);
-  h.reset();
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.quantile(0.5), 0.0);
-}
-
-TEST(LogHistogram, RecordNWeightsValues) {
-  LogHistogram h;
-  h.record_n(0.1, 99);
-  h.record_n(10.0, 1);
-  EXPECT_EQ(h.count(), 100u);
-  EXPECT_LT(h.quantile(0.5), 0.2);
-  EXPECT_GT(h.quantile(1.0), 5.0);
+  return cumulative;
 }
 
 TEST(FixedBucketHistogram, DefaultBoundsAreLinkerdLike) {
@@ -161,12 +91,7 @@ TEST(HistogramQuantile, MatchesExactQuantileOnDenseData) {
     values.push_back(v);
     h.record(v);
   }
-  std::vector<double> cumulative(h.counts().size());
-  double running = 0.0;
-  for (std::size_t i = 0; i < cumulative.size(); ++i) {
-    running += static_cast<double>(h.counts()[i]);
-    cumulative[i] = running;
-  }
+  const std::vector<double> cumulative = cumulative_counts(h);
   const double exact = percentile(values, 0.99);
   const double approx = histogram_quantile(h.bounds(), cumulative, 0.99);
   // Bucket resolution around 400-500 ms is coarse (100 ms buckets).
@@ -186,12 +111,13 @@ TEST(HistogramQuantile, RejectsBadArgs) {
 class QuantileMonotone : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(QuantileMonotone, MonotoneInQ) {
-  LogHistogram h;
+  FixedBucketHistogram h;
   SplitRng rng(GetParam());
   for (int i = 0; i < 5000; ++i) h.record(rng.lognormal(-3.0, 1.2));
+  const std::vector<double> cumulative = cumulative_counts(h);
   double prev = 0.0;
   for (double q : {0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1.0}) {
-    const double v = h.quantile(q);
+    const double v = histogram_quantile(h.bounds(), cumulative, q);
     EXPECT_GE(v, prev) << "q=" << q;
     prev = v;
   }

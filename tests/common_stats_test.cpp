@@ -190,40 +190,6 @@ TEST(Summarize, OrderKeysPutNegativeZeroBelowPositiveZero) {
   EXPECT_EQ(bits(summarize(std::vector<double>{-0.0}).max), bits(-0.0));
 }
 
-TEST(Percentile, SelectMatchesSortedBitForBit) {
-  // The selection helper must reproduce percentile_sorted() exactly. Draws
-  // from a small value set so duplicates straddle the selected positions,
-  // and reuses one span across quantiles, since any order of the sample is
-  // a valid input.
-  std::uint64_t state = 0x2545f4914f6cdd1dull;
-  auto next = [&state] {
-    state ^= state << 13;
-    state ^= state >> 7;
-    state ^= state << 17;
-    return state;
-  };
-  for (const std::size_t n : {1u, 2u, 3u, 2049u}) {
-    for (int trial = 0; trial < 20; ++trial) {
-      std::vector<double> values(n);
-      for (double& v : values) {
-        v = static_cast<double>(next() % 97) * 0.37 + 1e-3;
-      }
-      std::vector<double> sorted = values;
-      std::sort(sorted.begin(), sorted.end());
-      for (const double q : {0.0, 0.5, 0.99, 1.0}) {
-        const double expected = percentile_sorted(sorted, q);
-        const double got = percentile_select(values, q);
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
-                  std::bit_cast<std::uint64_t>(expected))
-            << "n=" << n << " q=" << q << " got " << got << " expected "
-            << expected;
-      }
-    }
-  }
-  std::vector<double> empty;
-  EXPECT_EQ(percentile_select(empty, 0.5), 0.0);
-}
-
 TEST(Table, PrintsAlignedRows) {
   Table t({"name", "value"});
   t.add_row({"a", "1"});

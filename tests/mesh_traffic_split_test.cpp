@@ -1,5 +1,7 @@
-// Tests for TrafficSplit weight semantics and ControlPlane propagation.
+// Tests for TrafficSplit weight semantics and ControlPlane pushes.
 #include "l3/mesh/traffic_split.h"
+
+#include "l3/common/assert.h"
 
 #include <gtest/gtest.h>
 
@@ -11,7 +13,7 @@ std::vector<BackendRef> three_backends() {
 }
 
 TEST(TrafficSplit, StartsWithEqualWeights) {
-  TrafficSplit split("svc", 0, three_backends(), 1000);
+  TrafficSplit split("svc", 0, three_backends());
   EXPECT_EQ(split.backend_count(), 3u);
   EXPECT_EQ(split.weights(), (std::vector<std::uint64_t>{1000, 1000, 1000}));
   EXPECT_EQ(split.generation(), 0u);
@@ -20,7 +22,7 @@ TEST(TrafficSplit, StartsWithEqualWeights) {
 }
 
 TEST(TrafficSplit, SetWeightsBumpsGeneration) {
-  TrafficSplit split("svc", 0, three_backends(), 1000);
+  TrafficSplit split("svc", 0, three_backends());
   const std::vector<std::uint64_t> w{10, 20, 30};
   split.set_weights(w);
   EXPECT_EQ(split.weights(), w);
@@ -28,7 +30,7 @@ TEST(TrafficSplit, SetWeightsBumpsGeneration) {
 }
 
 TEST(TrafficSplit, NoOpSetWeightsKeepsGeneration) {
-  TrafficSplit split("svc", 0, three_backends(), 1000);
+  TrafficSplit split("svc", 0, three_backends());
   // Re-publication of the current weights must not look like a change to
   // generation observers (the proxies' cached pickers).
   split.set_weights(std::vector<std::uint64_t>{1000, 1000, 1000});
@@ -41,53 +43,28 @@ TEST(TrafficSplit, NoOpSetWeightsKeepsGeneration) {
 }
 
 TEST(TrafficSplit, ZeroWeightsAllowed) {
-  TrafficSplit split("svc", 0, three_backends(), 1000);
+  TrafficSplit split("svc", 0, three_backends());
   const std::vector<std::uint64_t> w{0, 5, 0};
   split.set_weights(w);
   EXPECT_EQ(split.weights(), w);
 }
 
 TEST(TrafficSplit, RejectsSizeMismatch) {
-  TrafficSplit split("svc", 0, three_backends(), 1000);
+  TrafficSplit split("svc", 0, three_backends());
   const std::vector<std::uint64_t> w{1, 2};
   EXPECT_THROW(split.set_weights(w), ContractViolation);
 }
 
 TEST(TrafficSplit, RejectsEmptyBackends) {
-  EXPECT_THROW(TrafficSplit("svc", 0, {}, 1000), ContractViolation);
+  EXPECT_THROW(TrafficSplit("svc", 0, {}), ContractViolation);
 }
 
 TEST(ControlPlane, ZeroDelayAppliesImmediately) {
-  sim::Simulator sim;
-  ControlPlane cp(sim, 0.0);
-  TrafficSplit split("svc", 0, three_backends(), 1000);
+  ControlPlane cp;
+  TrafficSplit split("svc", 0, three_backends());
   cp.apply(split, {1, 2, 3});
   EXPECT_EQ(split.weights(), (std::vector<std::uint64_t>{1, 2, 3}));
   EXPECT_EQ(cp.updates_applied(), 1u);
-}
-
-TEST(ControlPlane, PropagationDelayDefersApplication) {
-  sim::Simulator sim;
-  ControlPlane cp(sim, 2.0);
-  TrafficSplit split("svc", 0, three_backends(), 1000);
-  cp.apply(split, {1, 2, 3});
-  EXPECT_EQ(split.weights(), (std::vector<std::uint64_t>{1000, 1000, 1000}));
-  sim.run_until(1.9);
-  EXPECT_EQ(split.generation(), 0u);
-  sim.run_until(2.1);
-  EXPECT_EQ(split.weights(), (std::vector<std::uint64_t>{1, 2, 3}));
-}
-
-TEST(ControlPlane, InFlightUpdatesApplyInOrder) {
-  sim::Simulator sim;
-  ControlPlane cp(sim, 1.0);
-  TrafficSplit split("svc", 0, three_backends(), 1000);
-  cp.apply(split, {1, 1, 1});
-  sim.run_until(0.5);
-  cp.apply(split, {2, 2, 2});
-  sim.run_until(10.0);
-  EXPECT_EQ(split.weights(), (std::vector<std::uint64_t>{2, 2, 2}));
-  EXPECT_EQ(split.generation(), 2u);
 }
 
 }  // namespace

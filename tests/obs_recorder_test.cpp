@@ -1,13 +1,15 @@
 // l3::obs flight recorder: ring wraparound accounting, deterministic
 // counter-shard merges (any bind/thread interleaving sums to the same
 // snapshot), gauge last-writer-wins, exact scope counts with sampled
-// timing, ProfileBlock merge semantics, and counter-track delta
-// suppression. Everything here drives the always-compiled Recorder API
-// directly, so the suite passes identically under L3_OBS=OFF builds.
+// timing, the bounded wall-sample reservoir, ProfileBlock merge semantics,
+// and counter-track delta suppression. Everything here drives the
+// always-compiled Recorder API directly, so the suite passes identically
+// under L3_OBS=OFF builds.
 #include "l3/obs/recorder.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
 #include <vector>
 
@@ -189,6 +191,35 @@ TEST(ObsRecorder, ScopeCountsExactTimingSampled) {
   EXPECT_EQ(snapshot.scopes[scope].count, 130u);
   EXPECT_EQ(snapshot.scopes[scope].timed, 3u);
   EXPECT_GE(snapshot.scopes[scope].wall_ns_total, 0.0);
+}
+
+TEST(ObsRecorder, WallSampleReservoirStaysBounded) {
+  // Sample i takes the value i, so the kept samples show the decimation:
+  // every stride-th sample of the run, the stride doubling each time the
+  // buffer fills. Past the first fill at least half the buffer stays in
+  // use, so the stride is at most n / (kMaxWallSamples / 2).
+  Recorder recorder;
+  ScopedRecorderBind bind(recorder);
+  const auto scope = static_cast<std::size_t>(ScopeId::kTsdbAppend);
+  const std::size_t total = 3 * kMaxWallSamples + 1;
+  for (std::size_t n = 1; n <= total; ++n) {
+    bound_shard()->record_scope_ns(ScopeId::kTsdbAppend,
+                                   static_cast<double>(n - 1));
+    if (n % 61 != 0 && n % kMaxWallSamples > 1 && n != total) continue;
+    const Snapshot::Scope got = recorder.snapshot().scopes[scope];
+    const double last = static_cast<double>(n - 1);
+    const double max_stride =
+        std::max(1.0, static_cast<double>(n) / (kMaxWallSamples / 2));
+    EXPECT_EQ(got.timed, n);  // timing totals stay exact
+    EXPECT_DOUBLE_EQ(got.wall_ns_max, last);
+    ASSERT_LE(got.wall_ns.count, kMaxWallSamples) << "n=" << n;
+    EXPECT_GE(got.wall_ns.count, std::min(n, kMaxWallSamples / 2))
+        << "n=" << n;
+    // Uniform coverage: the kept samples reach the run's end and centre on
+    // its middle.
+    EXPECT_GE(got.wall_ns.max, last - max_stride) << "n=" << n;
+    EXPECT_NEAR(got.wall_ns.p50, last / 2.0, max_stride) << "n=" << n;
+  }
 }
 
 TEST(ObsRecorder, ProfileBlockMergeSumsElementWise) {
