@@ -63,8 +63,7 @@ int main() {
   mesh.wan().set_symmetric(c2, c3, link);
 
   dsb::HotelAppConfig app_config;
-  dsb::HotelReservationApp app(mesh, {c1, c2, c3}, app_config,
-                               root.split("app"));
+  dsb::HotelReservationApp app(mesh, {c1, c2, c3}, app_config);
   app.deploy();
   app.warm_routes();
 

@@ -1,13 +1,12 @@
 // Example: failure handling across clusters — an outage and a partial
 // brown-out — comparing L3's proactive steering (§6: it reacts to latency /
 // success-rate symptoms before a health check trips) with health-check-only
-// failover, plus a lease-based HA controller pair (§4).
+// failover.
 //
 // Demonstrates: failure injection (set_down, success-rate drop), the
-// HealthChecker, success-rate-aware weighting, and LeaderElection.
+// HealthChecker and success-rate-aware weighting.
 #include "l3/common/table.h"
 #include "l3/core/controller.h"
-#include "l3/core/leader_election.h"
 #include "l3/lb/l3_policy.h"
 #include "l3/mesh/mesh.h"
 #include "l3/metrics/scraper.h"
@@ -52,23 +51,10 @@ int main() {
   scraper.add_target("cluster-1", mesh.registry(c1));
   scraper.start(5.0);
 
-  // HA pair: two controller replicas, one lease. Only the leader applies
-  // weights; on leader crash the follower takes over after lease expiry.
-  core::L3Controller primary(mesh, tsdb, c1, std::make_unique<lb::L3Policy>());
-  core::L3Controller standby(mesh, tsdb, c1, std::make_unique<lb::L3Policy>());
-  for (auto* controller : {&primary, &standby}) {
-    controller->manage_all();
-    controller->set_active(false);
-    controller->start();
-  }
-  core::LeaderElection election(sim, /*lease=*/15.0, /*renew=*/5.0);
-  const auto id_primary = election.add_candidate(
-      "l3-0", {.on_elected = [&] { primary.set_active(true); },
-               .on_deposed = [&] { primary.set_active(false); }});
-  election.add_candidate(
-      "l3-1", {.on_elected = [&] { standby.set_active(true); },
-               .on_deposed = [&] { standby.set_active(false); }});
-  election.start();
+  core::L3Controller controller(mesh, tsdb, c1,
+                                std::make_unique<lb::L3Policy>());
+  controller.manage_all();
+  controller.start();
 
   workload::OpenLoopClient client(mesh, c1, "checkout",
                                   [](SimTime) { return 150.0; },
@@ -90,10 +76,6 @@ int main() {
     std::cout << "t=360s  cluster-3 goes down completely\n";
     outage.set_down(true);
   });
-  sim.schedule_at(420.0, [&] {
-    std::cout << "t=420s  primary L3 controller crashes (leader failover)\n";
-    election.set_alive(id_primary, false);
-  });
 
   sim.run_until(630.0);
   pulse.cancel();
@@ -111,10 +93,8 @@ int main() {
   }
   const auto summary = workload::summarize_records(client.records(), 0.0);
   std::cout << "\noverall success rate: "
-            << fmt_percent(summary.success_rate, 2) << " %, leader is now "
-            << (election.is_leader(id_primary) ? "l3-0" : "l3-1") << "\n"
+            << fmt_percent(summary.success_rate, 2) << " %\n"
             << "L3 steered traffic away from the brown-out before health "
-               "checks tripped, and the standby controller took over after "
-               "the lease expired.\n";
+               "checks tripped.\n";
   return 0;
 }

@@ -8,7 +8,7 @@
 // Determinism: the injector draws no randomness. Fault times come straight
 // from the plan (plus the arm offset), so a fixed (plan, offset, workload
 // seed) triple reproduces the identical run — which is what keeps chaos
-// sweeps jobs-invariant under exp's work-stealing runner.
+// sweeps jobs-invariant under exp's parallel runner.
 #pragma once
 
 #include "l3/chaos/fault_plan.h"

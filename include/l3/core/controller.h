@@ -14,8 +14,8 @@
 //      for a backend that never produced one) every tick converges the
 //      filters back toward their defaults in small increments;
 //   3. hands the filtered signals to the configured LoadBalancingPolicy
-//      (L3, C3, round-robin, ...) and pushes the resulting weights through
-//      the ControlPlane.
+//      (L3, C3, round-robin, ...) and pushes the resulting weights to the
+//      TrafficSplit.
 //
 // The controller also exports its internal state (current weights and
 // filtered signals) as gauges into a Registry, mirroring the paper's

@@ -19,7 +19,6 @@
 // balancing — the paper's measurement target.
 #pragma once
 
-#include "l3/common/rng.h"
 #include "l3/dsb/behaviors.h"
 #include "l3/dsb/disturbance.h"
 #include "l3/mesh/mesh.h"
@@ -70,7 +69,7 @@ class HotelReservationApp {
 
   /// @param clusters  the clusters to deploy into (all of them, per §5.1).
   HotelReservationApp(mesh::Mesh& mesh, std::vector<mesh::ClusterId> clusters,
-                      HotelAppConfig config, SplitRng rng);
+                      HotelAppConfig config);
 
   /// Deploys every service of the call graph into every cluster.
   void deploy();
@@ -94,7 +93,6 @@ class HotelReservationApp {
   mesh::Mesh& mesh_;
   std::vector<mesh::ClusterId> clusters_;
   HotelAppConfig config_;
-  SplitRng rng_;
   ClusterLoadModel load_model_;
   bool deployed_ = false;
 };

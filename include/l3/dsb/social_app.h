@@ -21,7 +21,6 @@
 // memcached tiers are cluster-local.
 #pragma once
 
-#include "l3/common/rng.h"
 #include "l3/dsb/behaviors.h"
 #include "l3/dsb/disturbance.h"
 #include "l3/mesh/mesh.h"
@@ -65,7 +64,7 @@ class SocialNetworkApp {
   static constexpr const char* kFrontend = "frontend";
 
   SocialNetworkApp(mesh::Mesh& mesh, std::vector<mesh::ClusterId> clusters,
-                   SocialAppConfig config, SplitRng rng);
+                   SocialAppConfig config);
 
   /// Deploys every service into every cluster.
   void deploy();
@@ -83,7 +82,6 @@ class SocialNetworkApp {
   mesh::Mesh& mesh_;
   std::vector<mesh::ClusterId> clusters_;
   SocialAppConfig config_;
-  SplitRng rng_;
   ClusterLoadModel load_model_;
   bool deployed_ = false;
 };

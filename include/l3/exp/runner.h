@@ -1,9 +1,9 @@
 // Shared-nothing parallel execution of an ExperimentSpec. Each cell builds
 // its own Simulator / mesh / registry / tracer inside the cell function;
-// the runner only distributes cell indices over a work-stealing thread pool
-// and writes results into their grid-order slots — so the collected vector
-// (and anything serialized from it) is byte-identical for every `jobs`
-// value, including 1.
+// the runner's workers only claim cell indices from one shared atomic
+// cursor and write results into their grid-order slots — so the collected
+// vector (and anything serialized from it) is byte-identical for every
+// `jobs` value, including 1.
 #pragma once
 
 #include "l3/exp/spec.h"

@@ -1,9 +1,8 @@
 // The Mesh facade: clusters + WAN + deployments + per-source-cluster proxies
-// and TrafficSplits + control plane + health checking + one metrics Registry
-// per cluster. This is the multi-cluster Linkerd-on-Kubernetes equivalent
-// everything else plugs into (Figure 3/5 of the paper). Every split starts
-// at an equal weight per backend, and the control plane applies weight
-// pushes at once.
+// and TrafficSplits + health checking + one metrics Registry per cluster.
+// This is the multi-cluster Linkerd-on-Kubernetes equivalent everything
+// else plugs into (Figure 3/5 of the paper). Every split starts at an equal
+// weight per backend, and a weight push to a split applies at once.
 #pragma once
 
 #include "l3/common/rng.h"
@@ -126,9 +125,8 @@ class Mesh {
   /// L3 controller instance manages), in creation order.
   std::vector<TrafficSplit*> splits_of_source(ClusterId source);
 
-  // --- control & observability ---------------------------------------------
+  // --- health & observability ----------------------------------------------
 
-  ControlPlane& control_plane() { return control_plane_; }
   HealthChecker& health() { return health_; }
 
   /// Attaches a tracer to every proxy and deployment, current and future
@@ -150,7 +148,6 @@ class Mesh {
   MeshConfig config_;
   trace::Tracer* tracer_ = nullptr;
   WanModel wan_;
-  ControlPlane control_plane_;
   HealthChecker health_;
   std::vector<Cluster> clusters_;
   std::vector<std::string> names_;

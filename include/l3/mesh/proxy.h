@@ -30,11 +30,10 @@
 #include "l3/mesh/wan.h"
 #include "l3/metrics/ewma.h"
 #include "l3/metrics/registry.h"
+#include "l3/metrics/sample_ring.h"
 #include "l3/sim/simulator.h"
 
-#include <array>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -217,24 +216,15 @@ class Proxy {
   // -- Timeout machinery ----------------------------------------------------
   //
   // The proxy's timeout is a single constant, so deadlines are FIFO: the
-  // bucketed store below holds {deadline, handle} in arrival order and ONE
-  // armed timer event stands in for all of them — instead of scheduling
-  // (and dispatching) one timeout event per request, which dominated the
-  // event queue at 1 of every 5 events. Invariant: whenever the store is
+  // ring below holds {deadline, handle} in arrival order and ONE armed
+  // timer event stands in for all of them — instead of scheduling (and
+  // dispatching) one timeout event per request, which dominated the event
+  // queue at 1 of every 5 events. Invariant: whenever the ring is
   // non-empty, a timer is armed at or before the front deadline, and a
   // re-arm lands exactly on the front deadline — so a call that really
   // times out is still processed at exactly start + timeout, same as a
   // per-request event. The timeout path draws no RNG, so the draw
   // sequence is untouched either way.
-  //
-  // Storage is radix-style bucketed: fixed 256-entry buckets filled at the
-  // tail and drained at the head, with each bucket carrying its deadline
-  // bounds. Admission only ever touches the tail bucket and is O(1)
-  // amortized with NO copying — the old power-of-two ring unrolled every
-  // live entry on growth — and drained buckets recycle through a free list,
-  // so steady state allocates nothing. The per-bucket `last_deadline` bound
-  // lets the timer sweep classify a whole due bucket at once instead of
-  // comparing per entry.
 
   /// One armed deadline: the request's call-state handle plus when it
   /// times out. Entries are pushed at send() in deadline order.
@@ -243,19 +233,6 @@ class Proxy {
     CallHandle handle{};
   };
 
-  static constexpr std::size_t kTimeoutBucketSize = 256;
-  struct TimeoutBucket {
-    std::array<TimeoutEntry, kTimeoutBucketSize> slots;
-    std::size_t head = 0;  ///< first live slot (advances on pop)
-    std::size_t tail = 0;  ///< one past the last written slot
-    SimTime last_deadline = 0.0;  ///< deadline of slots[tail-1]
-  };
-
-  TimeoutEntry& front_timeout() {
-    return timeout_buckets_.front()->slots[timeout_buckets_.front()->head];
-  }
-  void push_timeout(SimTime deadline, CallHandle handle);
-  void pop_timeout();
   void arm_timeout_timer(SimTime deadline);
   /// The shared timer: settles finished front entries, times out due ones,
   /// then re-arms at the next live front deadline.
@@ -322,11 +299,7 @@ class Proxy {
   std::vector<std::uint32_t> p2c_scratch_;
   std::uint64_t p2c_mask_ = 0;
 
-  // Bucketed deadline store (see the timeout-machinery comment above):
-  // live buckets in FIFO order, drained buckets parked for reuse.
-  std::vector<std::unique_ptr<TimeoutBucket>> timeout_buckets_;
-  std::vector<std::unique_ptr<TimeoutBucket>> timeout_free_;
-  std::size_t timeout_count_ = 0;
+  metrics::SampleRing<TimeoutEntry> timeouts_;  ///< deadline order
   bool timeout_timer_armed_ = false;
 };
 

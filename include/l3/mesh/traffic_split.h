@@ -1,8 +1,9 @@
 // SMI TrafficSplit equivalent (§4): the declarative object that distributes
 // one source cluster's outbound traffic for a service across the service's
 // per-cluster backends, proportionally to non-negative integer weights.
-// Weight changes flow through the ControlPlane, which models the Linkerd
-// control plane's configuration push; a push takes effect at once.
+// A weight push (the Linkerd control plane's configuration push) takes
+// effect at once; the split's generation counts the pushes that changed
+// something.
 #pragma once
 
 #include "l3/mesh/types.h"
@@ -40,15 +41,16 @@ class TrafficSplit {
   /// Current weights, in backend order.
   std::vector<std::uint64_t> weights() const;
 
-  /// Applies new weights immediately (the ControlPlane calls this; tests
-  /// may too). Size must match; weights may be zero (a backend with zero
-  /// weight receives no traffic). A call that changes nothing leaves the
-  /// generation untouched.
-  void set_weights(std::span<const std::uint64_t> weights);
+  /// Applies new weights immediately. Size must match; weights may be zero
+  /// (a backend with zero weight receives no traffic). Returns whether any
+  /// weight changed; a call that changes nothing leaves the generation
+  /// untouched.
+  bool set_weights(std::span<const std::uint64_t> weights);
 
   /// Monotone counter bumped on every *effective* weight change — lets
   /// observers (proxies' cached pickers, tests) detect propagation without
-  /// reacting to no-op re-publications.
+  /// reacting to no-op re-publications, and counts the weight updates a
+  /// run reports (§4: too frequent updates are to be avoided at scale).
   std::uint64_t generation() const { return generation_; }
 
  private:
@@ -56,21 +58,6 @@ class TrafficSplit {
   ClusterId source_;
   std::vector<SplitBackend> backends_;
   std::uint64_t generation_ = 0;
-};
-
-/// Applies weight updates to TrafficSplits, modelling the control-plane
-/// push to sidecar proxies (§4 notes too frequent updates are to be avoided
-/// at scale) and counting the pushes.
-class ControlPlane {
- public:
-  /// Applies `weights` to `split` immediately.
-  void apply(TrafficSplit& split, const std::vector<std::uint64_t>& weights);
-
-  /// Number of weight updates pushed so far.
-  std::uint64_t updates_applied() const { return updates_; }
-
- private:
-  std::uint64_t updates_ = 0;
 };
 
 }  // namespace l3::mesh

@@ -87,7 +87,7 @@ enum class CounterId : std::uint8_t {
   kTsdbSamples,        ///< scalar + histogram samples appended
   kScraperSeries,      ///< series copied registry -> TSDB
   kControllerTicks,    ///< control-loop ticks
-  kWeightUpdates,      ///< split weight vectors actually applied
+  kWeightUpdates,      ///< weight pushes that changed a split
   kChaosTransitions,   ///< fault begin/end transitions fired
   kCount
 };

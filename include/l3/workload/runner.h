@@ -151,9 +151,10 @@ class Testbed {
   /// Samples the recorder's counter tracks at the scrape cadence and runs
   /// the simulation to the end of measurement plus a 30 s drain.
   void run();
-  /// The run's result: the post-warm-up summary and timeline from the
-  /// client's `records`, the mesh's weight updates, an all-zero traffic
-  /// share and, when profiling, the self-profile. Profiling also publishes
+  /// The run's result: the post-warm-up summary, timeline, traffic share
+  /// and mean attempts from the client's `records`, the weight updates
+  /// (the sum of the mesh's split generations) and, when profiling, the
+  /// self-profile. Profiling also publishes
   /// the audit families into cluster-1's registry under `policy`.
   RunResult harvest(std::string policy, std::string scenario,
                     std::span<const RequestRecord> records);

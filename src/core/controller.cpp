@@ -328,8 +328,7 @@ void L3Controller::tick_split(ManagedSplit& managed) {
   L3_ASSERT(weights.size() == managed.split->backend_count());
   managed.last_weights = weights;
 
-  if (active_) {
-    mesh_.control_plane().apply(*managed.split, weights);
+  if (active_ && managed.split->set_weights(weights)) {
     L3_OBS_COUNT(kWeightUpdates, 1);
   }
 

@@ -9,11 +9,10 @@ namespace l3::dsb {
 
 HotelReservationApp::HotelReservationApp(mesh::Mesh& mesh,
                                          std::vector<mesh::ClusterId> clusters,
-                                         HotelAppConfig config, SplitRng rng)
+                                         HotelAppConfig config)
     : mesh_(mesh),
       clusters_(std::move(clusters)),
       config_(config),
-      rng_(rng),
       load_model_(mesh.clusters().size()) {
   L3_EXPECTS(!clusters_.empty());
 }

@@ -12,7 +12,7 @@ namespace {
 /// the app built from `app_config`, wires the disturber, one controller per
 /// cluster (all scraped into one store), drives the local frontend client
 /// and summarises the run. `AppT` must be constructible from (mesh,
-/// clusters, app_config, rng) and provide deploy(), warm_routes(),
+/// clusters, app_config) and provide deploy(), warm_routes(),
 /// load_model() and a kFrontend service name.
 template <typename AppT, typename AppConfig>
 workload::RunResult run_app(workload::PolicyKind kind,
@@ -31,8 +31,7 @@ workload::RunResult run_app(workload::PolicyKind kind,
   workload::Testbed bed(bed_config, clusters, t1);
   mesh::Mesh& mesh = bed.mesh();
 
-  auto app = std::make_unique<AppT>(mesh, clusters, app_config,
-                                    bed.rng().split("app"));
+  auto app = std::make_unique<AppT>(mesh, clusters, app_config);
   app->deploy();
   app->warm_routes();
 

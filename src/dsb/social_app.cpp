@@ -9,11 +9,10 @@ namespace l3::dsb {
 
 SocialNetworkApp::SocialNetworkApp(mesh::Mesh& mesh,
                                    std::vector<mesh::ClusterId> clusters,
-                                   SocialAppConfig config, SplitRng rng)
+                                   SocialAppConfig config)
     : mesh_(mesh),
       clusters_(std::move(clusters)),
       config_(config),
-      rng_(rng),
       load_model_(mesh.clusters().size()) {
   L3_EXPECTS(!clusters_.empty());
 }

@@ -3,10 +3,9 @@
 #include "l3/common/assert.h"
 
 #include <algorithm>
-#include <deque>
+#include <atomic>
 #include <exception>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <utility>
 
@@ -21,56 +20,6 @@ CellResult run_cell(const ExperimentSpec& spec, std::size_t index) {
   result.data = spec.cell(result.cell, result.seed);
   return result;
 }
-
-/// Work-stealing cell scheduler: every worker owns a deque of cell indices
-/// (dealt round-robin up front) and pops from its own front; a worker that
-/// runs dry steals from the back of a sibling's deque. Cells are coarse
-/// (whole simulations), so the per-pop mutex is noise.
-class CellScheduler {
- public:
-  CellScheduler(std::size_t cells, int workers) : queues_(workers) {
-    for (std::size_t i = 0; i < cells; ++i) {
-      queues_[i % queues_.size()].indices.push_back(i);
-    }
-  }
-
-  std::optional<std::size_t> next(int worker) {
-    if (auto index = pop_front(worker)) return index;
-    // Steal from the busiest sibling's back.
-    for (std::size_t offset = 1; offset < queues_.size(); ++offset) {
-      const auto victim =
-          (static_cast<std::size_t>(worker) + offset) % queues_.size();
-      if (auto index = pop_back(static_cast<int>(victim))) return index;
-    }
-    return std::nullopt;
-  }
-
- private:
-  struct Queue {
-    std::mutex mu;
-    std::deque<std::size_t> indices;
-  };
-
-  std::optional<std::size_t> pop_front(int worker) {
-    auto& queue = queues_[static_cast<std::size_t>(worker)];
-    std::lock_guard<std::mutex> lock(queue.mu);
-    if (queue.indices.empty()) return std::nullopt;
-    const std::size_t index = queue.indices.front();
-    queue.indices.pop_front();
-    return index;
-  }
-
-  std::optional<std::size_t> pop_back(int worker) {
-    auto& queue = queues_[static_cast<std::size_t>(worker)];
-    std::lock_guard<std::mutex> lock(queue.mu);
-    if (queue.indices.empty()) return std::nullopt;
-    const std::size_t index = queue.indices.back();
-    queue.indices.pop_back();
-    return index;
-  }
-
-  std::deque<Queue> queues_;
-};
 
 }  // namespace
 
@@ -89,38 +38,34 @@ std::vector<CellResult> run_experiment(const ExperimentSpec& spec,
   const int jobs = std::min<int>(effective_jobs(opts.jobs),
                                  static_cast<int>(std::max<std::size_t>(
                                      cells, 1)));
-  if (cells == 0) return results;
 
-  if (jobs <= 1) {
-    for (std::size_t i = 0; i < cells; ++i) results[i] = run_cell(spec, i);
-    return results;
-  }
-
-  CellScheduler scheduler(cells, jobs);
+  // Workers claim cell indices from one shared cursor. A failing cell
+  // exhausts the cursor, so the other workers abandon the remaining cells.
+  std::atomic<std::size_t> next{0};
   std::mutex error_mu;
   std::exception_ptr first_error;
-  auto worker = [&](int id) {
-    while (true) {
-      {
-        std::lock_guard<std::mutex> lock(error_mu);
-        if (first_error) return;  // abandon remaining cells on failure
-      }
-      const auto index = scheduler.next(id);
-      if (!index) return;
+  auto worker = [&] {
+    for (std::size_t index = next.fetch_add(1); index < cells;
+         index = next.fetch_add(1)) {
       try {
-        results[*index] = run_cell(spec, *index);
+        results[index] = run_cell(spec, index);
       } catch (...) {
         std::lock_guard<std::mutex> lock(error_mu);
         if (!first_error) first_error = std::current_exception();
+        next.store(cells);
         return;
       }
     }
   };
 
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(jobs));
-  for (int id = 0; id < jobs; ++id) threads.emplace_back(worker, id);
-  for (auto& thread : threads) thread.join();
+  if (jobs <= 1) {
+    worker();  // inline on the calling thread
+  } else {
+    std::vector<std::thread> threads;
+    threads.reserve(static_cast<std::size_t>(jobs));
+    for (int id = 0; id < jobs; ++id) threads.emplace_back(worker);
+    for (auto& thread : threads) thread.join();
+  }
   if (first_error) std::rethrow_exception(first_error);
   return results;
 }

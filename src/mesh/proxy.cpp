@@ -287,7 +287,7 @@ void Proxy::send(int depth, trace::SpanContext parent, ResponseFn done) {
 
   if (with_timeout) {
     const SimTime deadline = sim_.now() + config_.timeout;
-    push_timeout(deadline, handle);
+    timeouts_.push_back(TimeoutEntry{deadline, handle});
     if (!timeout_timer_armed_) arm_timeout_timer(deadline);
   }
 
@@ -418,58 +418,20 @@ void Proxy::on_response(CallHandle handle, const Outcome& outcome) {
   drain_finished_timeouts();
 }
 
-void Proxy::push_timeout(SimTime deadline, CallHandle handle) {
-  if (timeout_buckets_.empty() ||
-      timeout_buckets_.back()->tail == kTimeoutBucketSize) {
-    // Open a fresh tail bucket — recycled when possible, so steady state
-    // admission allocates nothing and (unlike the old power-of-two ring)
-    // growth never copies a live entry.
-    if (timeout_free_.empty()) {
-      timeout_buckets_.push_back(std::make_unique<TimeoutBucket>());
-    } else {
-      timeout_buckets_.push_back(std::move(timeout_free_.back()));
-      timeout_free_.pop_back();
-      timeout_buckets_.back()->head = 0;
-      timeout_buckets_.back()->tail = 0;
-    }
-  }
-  TimeoutBucket& bucket = *timeout_buckets_.back();
-  bucket.slots[bucket.tail++] = TimeoutEntry{deadline, handle};
-  bucket.last_deadline = deadline;
-  ++timeout_count_;
-}
-
-void Proxy::pop_timeout() {
-  TimeoutBucket& bucket = *timeout_buckets_.front();
-  ++bucket.head;
-  --timeout_count_;
-  if (bucket.head == bucket.tail && bucket.tail == kTimeoutBucketSize) {
-    // Fully written and fully drained: park the bucket for reuse. (A
-    // partially filled front bucket is also the tail bucket and keeps
-    // accepting pushes.)
-    timeout_free_.push_back(std::move(timeout_buckets_.front()));
-    timeout_buckets_.erase(timeout_buckets_.begin());
-  } else if (bucket.head == bucket.tail) {
-    // Front == tail bucket drained: reset in place so the slots recycle.
-    bucket.head = 0;
-    bucket.tail = 0;
-  }
-}
-
 void Proxy::arm_timeout_timer(SimTime deadline) {
   timeout_timer_armed_ = true;
   sim_.schedule_at(deadline, [this] { on_timeout_timer(); });
 }
 
 void Proxy::drain_finished_timeouts() {
-  while (timeout_count_ > 0) {
-    const TimeoutEntry& front = front_timeout();
-    CallState* state = calls_.get(front.handle);
+  while (!timeouts_.empty()) {
+    const CallHandle handle = timeouts_.front().handle;
+    CallState* state = calls_.get(handle);
     if (state != nullptr) {
       if (!state->finished || state->pending != 1) break;  // still in flight
-      settle(front.handle, *state);
+      settle(handle, *state);
     }
-    pop_timeout();
+    timeouts_.pop_front();
   }
 }
 
@@ -477,25 +439,22 @@ void Proxy::on_timeout_timer() {
   L3_OBS_SCOPE(obs_sweep, kTimeoutSweep);
   timeout_timer_armed_ = false;
   const SimTime now = sim_.now();
-  while (timeout_count_ > 0) {
-    // Radix fast path: when the whole front bucket's deadline bound is due,
-    // entries inside need no per-entry deadline compare — only their
-    // finished/pending state decides what happens.
-    const bool bucket_due = timeout_buckets_.front()->last_deadline <= now;
-    const TimeoutEntry front = front_timeout();
+  while (!timeouts_.empty()) {
+    // By value: finish() can re-enter send(), which may grow the ring.
+    const TimeoutEntry front = timeouts_.front();
     CallState* state = calls_.get(front.handle);
     if (state == nullptr) {  // already recycled; nothing to settle
-      pop_timeout();
+      timeouts_.pop_front();
       continue;
     }
     if (state->finished && state->pending == 1) {
-      // Response already answered the caller; the store entry was the last
+      // Response already answered the caller; the ring entry was the last
       // visitor, so this settle recycles the slot.
       settle(front.handle, *state);
-      pop_timeout();
+      timeouts_.pop_front();
       continue;
     }
-    if (!bucket_due && front.deadline > now) break;
+    if (front.deadline > now) break;
     // Genuinely due: the caller gets the timeout response at exactly
     // start + timeout. The response chain (still in flight) keeps its
     // visitor and settles the slot when it lands.
@@ -506,11 +465,9 @@ void Proxy::on_timeout_timer() {
       finish(*state, false, config_.timeout, true);
     }
     settle(front.handle, *state);
-    pop_timeout();
+    timeouts_.pop_front();
   }
-  if (timeout_count_ > 0) {
-    arm_timeout_timer(front_timeout().deadline);
-  }
+  if (!timeouts_.empty()) arm_timeout_timer(timeouts_.front().deadline);
 }
 
 void Proxy::settle(CallHandle handle, CallState& state) {

@@ -23,7 +23,7 @@ std::vector<std::uint64_t> TrafficSplit::weights() const {
   return out;
 }
 
-void TrafficSplit::set_weights(std::span<const std::uint64_t> weights) {
+bool TrafficSplit::set_weights(std::span<const std::uint64_t> weights) {
   L3_EXPECTS(weights.size() == backends_.size());
   bool changed = false;
   for (std::size_t i = 0; i < weights.size(); ++i) {
@@ -35,13 +35,7 @@ void TrafficSplit::set_weights(std::span<const std::uint64_t> weights) {
   // A no-op push keeps the generation stable so proxies' cached pickers
   // survive the controller's periodic re-publication of unchanged weights.
   if (changed) ++generation_;
-}
-
-void ControlPlane::apply(TrafficSplit& split,
-                         const std::vector<std::uint64_t>& weights) {
-  L3_EXPECTS(weights.size() == split.backend_count());
-  ++updates_;
-  split.set_weights(weights);
+  return changed;
 }
 
 }  // namespace l3::mesh

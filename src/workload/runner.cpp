@@ -113,8 +113,26 @@ RunResult Testbed::harvest(std::string policy, std::string scenario,
   result.summary = summarize_records(records, start_);
   result.timeline = aggregate_timeline(records, start_, end_);
   result.requests = result.summary.count;
-  result.weight_updates = mesh_.control_plane().updates_applied();
+  // A split's generation counts the weight pushes that changed it.
+  for (mesh::ClusterId c = 0; c < mesh_.clusters().size(); ++c) {
+    for (const mesh::TrafficSplit* split : mesh_.splits_of_source(c)) {
+      result.weight_updates += split->generation();
+    }
+  }
+  // Post-warm-up traffic share per backend cluster and mean attempts.
   result.traffic_share.assign(mesh_.clusters().size(), 0.0);
+  if (result.requests > 0) {
+    double attempts = 0.0;
+    for (const auto& r : records) {
+      if (r.sent < start_) continue;
+      result.traffic_share[r.backend_cluster] += 1.0;
+      attempts += static_cast<double>(r.attempts);
+    }
+    for (auto& share : result.traffic_share) {
+      share /= static_cast<double>(result.requests);
+    }
+    result.mean_attempts = attempts / static_cast<double>(result.requests);
+  }
   if (!recorder_) return result;
   recorder_->sample_tracks(sim_.now());  // close the counter tracks
   result.profile = recorder_->profile();
@@ -203,19 +221,6 @@ RunResult run_scenario_with(const ScenarioTrace& trace,
 
   RunResult result = bed.harvest(policy_label, trace.name(), client.records());
   result.proxy_cost_stats = mesh.proxy(c1, service).cost_stats();
-  // Post-warm-up traffic share per backend cluster and mean attempts.
-  if (result.requests > 0) {
-    double attempts = 0.0;
-    for (const auto& r : client.records()) {
-      if (r.sent < t0) continue;
-      result.traffic_share[r.backend_cluster] += 1.0;
-      attempts += static_cast<double>(r.attempts);
-    }
-    for (auto& share : result.traffic_share) {
-      share /= static_cast<double>(result.requests);
-    }
-    result.mean_attempts = attempts / static_cast<double>(result.requests);
-  }
   return result;
 }
 

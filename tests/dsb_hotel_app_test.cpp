@@ -83,7 +83,7 @@ class HotelAppTest : public ::testing::Test {
 };
 
 TEST_F(HotelAppTest, DeploysEveryServiceEverywhere) {
-  HotelReservationApp app(mesh, clusters, {}, rng.split("app"));
+  HotelReservationApp app(mesh, clusters, {});
   app.deploy();
   for (const auto& service : HotelReservationApp::service_names()) {
     for (mesh::ClusterId c : clusters) {
@@ -96,7 +96,7 @@ TEST_F(HotelAppTest, DeploysEveryServiceEverywhere) {
 }
 
 TEST_F(HotelAppTest, WarmRoutesCreatesSplitsForMeshCallees) {
-  HotelReservationApp app(mesh, clusters, {}, rng.split("app"));
+  HotelReservationApp app(mesh, clusters, {});
   app.deploy();
   app.warm_routes();
   for (mesh::ClusterId c : clusters) {
@@ -110,7 +110,7 @@ TEST_F(HotelAppTest, WarmRoutesCreatesSplitsForMeshCallees) {
 }
 
 TEST_F(HotelAppTest, FrontendRequestTraversesCallGraph) {
-  HotelReservationApp app(mesh, clusters, {}, rng.split("app"));
+  HotelReservationApp app(mesh, clusters, {});
   app.deploy();
   app.warm_routes();
   int completed = 0;
@@ -143,7 +143,7 @@ TEST_F(HotelAppTest, FrontendRequestTraversesCallGraph) {
 TEST_F(HotelAppTest, FailuresPropagateUpTheGraph) {
   HotelAppConfig config;
   config.success_rate = 0.95;  // every hop can fail
-  HotelReservationApp app(mesh, clusters, config, rng.split("app"));
+  HotelReservationApp app(mesh, clusters, config);
   app.deploy();
   app.warm_routes();
   int failures = 0;
@@ -184,6 +184,23 @@ TEST(DsbRunner, DeterministicForSameSeed) {
   const auto b = run_hotel_reservation(workload::PolicyKind::kL3, config);
   EXPECT_DOUBLE_EQ(a.summary.latency.p99, b.summary.latency.p99);
   EXPECT_EQ(a.requests, b.requests);
+}
+
+TEST(DsbRunner, TrafficShareIsTheLocalFrontendsAndSumsToOne) {
+  // The client calls the cluster-1 frontend directly, so every measured
+  // request lands in cluster-1, and there are no retries.
+  DsbRunnerConfig config;
+  config.warmup = 10.0;
+  config.duration = 30.0;
+  config.rps = 30.0;
+  const auto r = run_hotel_reservation(workload::PolicyKind::kL3, config);
+  ASSERT_GT(r.requests, 0u);
+  ASSERT_EQ(r.traffic_share.size(), 3u);
+  double total = 0.0;
+  for (const double s : r.traffic_share) total += s;
+  EXPECT_DOUBLE_EQ(total, 1.0);
+  EXPECT_DOUBLE_EQ(r.traffic_share[0], 1.0);
+  EXPECT_DOUBLE_EQ(r.mean_attempts, 1.0);
 }
 
 }  // namespace

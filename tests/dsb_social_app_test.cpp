@@ -26,7 +26,7 @@ class SocialAppTest : public ::testing::Test {
 };
 
 TEST_F(SocialAppTest, DeploysEveryServiceEverywhere) {
-  SocialNetworkApp app(mesh, clusters, {}, rng.split("app"));
+  SocialNetworkApp app(mesh, clusters, {});
   app.deploy();
   for (const auto& service : SocialNetworkApp::service_names()) {
     for (mesh::ClusterId c : clusters) {
@@ -38,7 +38,7 @@ TEST_F(SocialAppTest, DeploysEveryServiceEverywhere) {
 }
 
 TEST_F(SocialAppTest, StatefulTiersNotMeshRouted) {
-  SocialNetworkApp app(mesh, clusters, {}, rng.split("app"));
+  SocialNetworkApp app(mesh, clusters, {});
   app.deploy();
   app.warm_routes();
   for (mesh::ClusterId c : clusters) {
@@ -51,7 +51,7 @@ TEST_F(SocialAppTest, StatefulTiersNotMeshRouted) {
 }
 
 TEST_F(SocialAppTest, ComposePostTraversesDeepGraph) {
-  SocialNetworkApp app(mesh, clusters, {}, rng.split("app"));
+  SocialNetworkApp app(mesh, clusters, {});
   app.deploy();
   app.warm_routes();
   // Drive compose-post directly so the whole write path fires.
@@ -79,7 +79,7 @@ TEST_F(SocialAppTest, ComposePostTraversesDeepGraph) {
 }
 
 TEST_F(SocialAppTest, ReadPathsAreShallowerThanCompose) {
-  SocialNetworkApp app(mesh, clusters, {}, rng.split("app"));
+  SocialNetworkApp app(mesh, clusters, {});
   app.deploy();
   app.warm_routes();
   SimTime read_done = 0.0, compose_done = 0.0;

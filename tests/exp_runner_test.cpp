@@ -155,6 +155,34 @@ TEST(ExperimentRunnerTest, CellExceptionPropagatesFromWorkers) {
   EXPECT_THROW(run_experiment(spec, {.jobs = 1}), std::runtime_error);
 }
 
+TEST(ExperimentRunnerTest, EveryCellRunsExactlyOnce) {
+  // A cell run twice would rewrite its own slot and go unnoticed in the
+  // results, so count the invocations per cell.
+  for (const int jobs : {1, 2, 3, 8}) {
+    for (const std::size_t cells : {0u, 1u, 7u, 64u}) {
+      ExperimentSpec spec;
+      spec.name = "once";
+      spec.scenarios.assign(cells, "s");
+      std::vector<std::atomic<int>> calls(cells);
+      spec.cell = [&calls](const Cell& cell, std::uint64_t) -> CellData {
+        calls[cell.scenario].fetch_add(1);
+        CellData data;
+        data.metrics = {{"scenario", static_cast<double>(cell.scenario)}};
+        return data;
+      };
+      const auto results = run_experiment(spec, {.jobs = jobs});
+      ASSERT_EQ(results.size(), cells);
+      for (std::size_t i = 0; i < cells; ++i) {
+        EXPECT_EQ(calls[i].load(), 1)
+            << "cell " << i << " of " << cells << ", jobs " << jobs;
+        EXPECT_EQ(results[i].cell.scenario, i);
+        EXPECT_EQ(mean_metric({&results[i], 1}, "scenario"),
+                  static_cast<double>(i));
+      }
+    }
+  }
+}
+
 TEST(ExperimentRunnerTest, EffectiveJobsResolvesNonPositiveToHardware) {
   EXPECT_GE(effective_jobs(0), 1);
   EXPECT_GE(effective_jobs(-3), 1);

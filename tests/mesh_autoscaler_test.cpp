@@ -3,6 +3,8 @@
 
 #include "l3/mesh/mesh.h"
 
+#include "manual_behavior.h"
+
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -258,17 +260,7 @@ TEST_F(AutoscalerTest, CrashDuringProvisioningKeepsPendingAccounting) {
   sim.run_until(50.0);
 }
 
-/// Parks every request's done callback for the test to fire by hand.
-class ManualBehavior final : public ServiceBehavior {
- public:
-  explicit ManualBehavior(std::vector<OutcomeFn>& parked) : parked_(parked) {}
-  void invoke(const BehaviorContext&, OutcomeFn done) override {
-    parked_.push_back(std::move(done));
-  }
-
- private:
-  std::vector<OutcomeFn>& parked_;
-};
+using test_util::ManualBehavior;
 
 TEST_F(AutoscalerTest, CrashAfterScaleDownHitsTheRightReplica) {
   // Regression: pending calls remembered their replica by index, and

@@ -5,9 +5,12 @@
 #include "l3/mesh/metric_names.h"
 #include "l3/sim/simulator.h"
 
+#include "manual_behavior.h"
+
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 namespace l3::mesh {
 namespace {
@@ -368,6 +371,80 @@ TEST(ProxyCallPool, SlotReuseUnderTimeoutResponseRacesIsExactlyOnce) {
   EXPECT_GT(timeouts, 0);      // both orders actually exercised
   EXPECT_LT(timeouts, 200);
   EXPECT_EQ(proxy.live_calls(), 0u);
+}
+
+using test_util::ManualBehavior;
+
+TEST(ProxyCallPool, TimeoutRingSurvivesGrowthAndWrap) {
+  // Each round keeps more than 1,000 deadlines in flight behind a stuck
+  // head-of-line prefix: the answered calls cannot leave the deadline
+  // store until the prefix times out. 1,500 calls grow the empty store;
+  // 3,000 more start where the first round drained it, so they wrap and
+  // then grow while wrapped; 4,096 fill that store exactly. In every round
+  // the first caller sends again from its timeout callback, which in the
+  // last round grows the store inside the timeout sweep.
+  sim::Simulator sim;
+  MeshConfig config;
+  config.local_delay = 0.0;
+  config.local_jitter_frac = 0.0;
+  config.health_probe_interval = 0.0;
+  config.request_timeout = 1.0;
+  Mesh m(sim, SplitRng(5), config);
+  const auto a = m.add_cluster("a");
+  std::vector<OutcomeFn> parked;
+  m.deploy("svc", a, {.replicas = 1, .concurrency = 8192, .queue_capacity = 1},
+           std::make_unique<ManualBehavior>(parked));
+  Proxy& proxy = m.proxy(a, "svc");
+
+  struct Round {
+    std::size_t calls;
+    std::size_t stuck;  ///< the first `stuck` calls time out
+  };
+  for (const Round round :
+       {Round{1500, 100}, Round{3000, 700}, Round{4096, 1}}) {
+    parked.clear();
+    std::vector<int> responses(round.calls, 0);
+    std::vector<Response> last(round.calls);
+    int resent = 0;  // responses to the call sent from the timeout callback
+    for (std::size_t i = 0; i < round.calls; ++i) {
+      m.call(a, "svc", 0, [&, i](const Response& r) {
+        ++responses[i];
+        last[i] = r;
+        if (i == 0) m.call(a, "svc", 0, [&](const Response&) { ++resent; });
+      });
+      sim.run_until(sim.now() + 1e-4);  // distinct deadlines
+    }
+    ASSERT_EQ(parked.size(), round.calls);
+    // Answer everything behind the prefix before the first deadline.
+    for (std::size_t i = round.stuck; i < round.calls; ++i) {
+      parked[i](Outcome{true});
+    }
+    sim.run_until(sim.now() + 0.01);
+    EXPECT_EQ(proxy.live_calls(), round.calls);  // all held by the store
+    // Past every deadline: the prefix times out, the rest drain.
+    sim.run_until(sim.now() + 1.5);
+    for (std::size_t i = 0; i < round.calls; ++i) {
+      ASSERT_EQ(responses[i], 1) << "call " << i;
+      if (i < round.stuck) {
+        EXPECT_TRUE(last[i].timed_out) << "call " << i;
+        EXPECT_FALSE(last[i].success);
+        EXPECT_EQ(last[i].latency, config.request_timeout);  // bit for bit
+      } else {
+        EXPECT_FALSE(last[i].timed_out) << "call " << i;
+        EXPECT_TRUE(last[i].success);
+      }
+    }
+    // The prefix's response chains and the re-sent call still hold slots.
+    ASSERT_EQ(parked.size(), round.calls + 1);
+    EXPECT_EQ(proxy.live_calls(), round.stuck + 1);
+    // The late answers settle the prefix without a second response.
+    for (std::size_t i = 0; i < round.stuck; ++i) parked[i](Outcome{true});
+    parked.back()(Outcome{true});
+    sim.run_until(sim.now() + 0.01);
+    for (const int n : responses) EXPECT_EQ(n, 1);
+    EXPECT_EQ(resent, 1);
+    EXPECT_EQ(proxy.live_calls(), 0u);
+  }
 }
 
 TEST_F(ProxyTest, DeterministicAcrossIdenticalRuns) {

@@ -1,4 +1,4 @@
-// Tests for TrafficSplit weight semantics and ControlPlane pushes.
+// Tests for TrafficSplit weight semantics.
 #include "l3/mesh/traffic_split.h"
 
 #include "l3/common/assert.h"
@@ -24,7 +24,7 @@ TEST(TrafficSplit, StartsWithEqualWeights) {
 TEST(TrafficSplit, SetWeightsBumpsGeneration) {
   TrafficSplit split("svc", 0, three_backends());
   const std::vector<std::uint64_t> w{10, 20, 30};
-  split.set_weights(w);
+  EXPECT_TRUE(split.set_weights(w));
   EXPECT_EQ(split.weights(), w);
   EXPECT_EQ(split.generation(), 1u);
 }
@@ -33,12 +33,12 @@ TEST(TrafficSplit, NoOpSetWeightsKeepsGeneration) {
   TrafficSplit split("svc", 0, three_backends());
   // Re-publication of the current weights must not look like a change to
   // generation observers (the proxies' cached pickers).
-  split.set_weights(std::vector<std::uint64_t>{1000, 1000, 1000});
+  EXPECT_FALSE(split.set_weights(std::vector<std::uint64_t>{1000, 1000, 1000}));
   EXPECT_EQ(split.generation(), 0u);
   const std::vector<std::uint64_t> w{10, 20, 30};
-  split.set_weights(w);
+  EXPECT_TRUE(split.set_weights(w));
   EXPECT_EQ(split.generation(), 1u);
-  split.set_weights(w);
+  EXPECT_FALSE(split.set_weights(w));
   EXPECT_EQ(split.generation(), 1u);
 }
 
@@ -57,14 +57,6 @@ TEST(TrafficSplit, RejectsSizeMismatch) {
 
 TEST(TrafficSplit, RejectsEmptyBackends) {
   EXPECT_THROW(TrafficSplit("svc", 0, {}), ContractViolation);
-}
-
-TEST(ControlPlane, ZeroDelayAppliesImmediately) {
-  ControlPlane cp;
-  TrafficSplit split("svc", 0, three_backends());
-  cp.apply(split, {1, 2, 3});
-  EXPECT_EQ(split.weights(), (std::vector<std::uint64_t>{1, 2, 3}));
-  EXPECT_EQ(cp.updates_applied(), 1u);
 }
 
 }  // namespace

@@ -125,7 +125,13 @@ TEST_P(PolicyPipelineSweep, SaneEndToEnd) {
     share += s;
   }
   EXPECT_NEAR(share, 1.0, 1e-9);
-  EXPECT_GT(r.weight_updates, 0u);
+  // A weight update is a push that changed the split: round-robin keeps
+  // the equal initial weights, every other policy moves them.
+  if (GetParam() == PolicyKind::kRoundRobin) {
+    EXPECT_EQ(r.weight_updates, 0u);
+  } else {
+    EXPECT_GT(r.weight_updates, 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, PolicyPipelineSweep,

@@ -36,17 +36,21 @@ RunnerConfig short_config() {
 
 // Golden hashes recorded from the pre-refactor (seed) build of this test on
 // the reference toolchain. See the file comment before re-recording.
-constexpr std::uint64_t kGoldenScenario1L3 = 0x1c6a1a5fa2809b1bull;
-constexpr std::uint64_t kGoldenFailure1C3 = 0xfa4d7b14c44fe850ull;
+// Every constant below was re-recorded once when RunResult::weight_updates
+// became the pushes that changed a split (the sum of the splits'
+// generations) instead of every push: a field-by-field dump of each run
+// before and after differed in that field alone.
+constexpr std::uint64_t kGoldenScenario1L3 = 0x7b87e18b0a4bfc3cull;
+constexpr std::uint64_t kGoldenFailure1C3 = 0xe220c9c576214b7eull;
 // Recorded immediately before the pooled-call-state / cached-picker request-
 // path overhaul; covers the routing paths the goldens above do not (PeakEWMA
 // P2C picks and outlier-detection ejections).
-constexpr std::uint64_t kGoldenFailure1P2cOutlier = 0x6a79e1052ef3ac06ull;
+constexpr std::uint64_t kGoldenFailure1P2cOutlier = 0xe287013757f35dacull;
 // Recorded when the l3::chaos fault injector landed; pin the full chaos
 // event set (crash/restart, brownout, partition, scrape outage, controller
 // pause) composed with the workload.
-constexpr std::uint64_t kGoldenScenario1L3Chaos = 0xd6b24b589efecf56ull;
-constexpr std::uint64_t kGoldenFailure1ChaosC3 = 0x0c5a4f23cdad9553ull;
+constexpr std::uint64_t kGoldenScenario1L3Chaos = 0x83a1f3a4ee47d0bcull;
+constexpr std::uint64_t kGoldenFailure1ChaosC3 = 0xae18c98b4f638e4aull;
 
 /// A fault timeline dense enough that every fault kind fires inside the
 /// 40 s measured window of short_config().

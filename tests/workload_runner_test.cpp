@@ -170,6 +170,17 @@ TEST(Runner, WeightUpdatesHappen) {
   EXPECT_GE(r.weight_updates, 8u);
 }
 
+TEST(Runner, RoundRobinReportsNoWeightUpdates) {
+  // A weight update is a push that changed the split. Round-robin only
+  // re-publishes the equal initial weights, so it reports none; L3 on the
+  // same trace moves the weights.
+  const auto trace = tiny_uniform_trace(0.020, 0.100, 50.0);
+  const auto rr = run_scenario(trace, PolicyKind::kRoundRobin, fast_config());
+  const auto l3 = run_scenario(trace, PolicyKind::kL3, fast_config());
+  EXPECT_EQ(rr.weight_updates, 0u);
+  EXPECT_GT(l3.weight_updates, 0u);
+}
+
 TEST(Runner, PolicyFactoryCoversAllKinds) {
   for (const auto kind :
        {PolicyKind::kRoundRobin, PolicyKind::kC3, PolicyKind::kL3,
