@@ -1,8 +1,9 @@
 // Cross-shard mailboxes for the sharded simulator: each directed shard pair
 // gets a bounded staging buffer on the sending side (flushed at conservative
 // window boundaries, or early when full — the out-of-band buffer discipline
-// used by deltafs-vpic's preload shuffle) feeding a mutex-protected inbox on
-// the receiving side.
+// used by deltafs-vpic's preload shuffle) feeding that pair's own
+// single-producer, single-consumer lane. A batch changes hands by swapping
+// vectors, never by moving its messages one by one.
 //
 // Determinism does NOT depend on flush or drain timing: every message
 // carries a shard-count-invariant (origin cluster, origin sequence) key,
@@ -45,35 +46,46 @@ struct MailboxStats {
   }
 };
 
-/// Receiving side: one inbox per shard, shared by all senders. deliver()
+/// One directed shard pair's hand-off (s -> t): shard s's staging buffer
+/// delivers into it, shard t drains it, and nobody else touches it. deliver()
 /// and drain() are the only cross-thread touch points in the engine's data
 /// path, and the mutex is the data's happens-before edge: the barrier's
 /// release/acquire horizon exchange (flush-before-publish on the sender,
 /// acquire-then-drain on the receiver) orders a flush's critical section
 /// before the drain that must see it.
-class MailboxInbox {
+///
+/// The sender's staging vector, the lane's pending vector and the
+/// receiver's drain buffer trade places on every hand-off and keep their
+/// capacity, so a steady-state run allocates nothing here. The alignment
+/// keeps each lane's mutex off its neighbours' cache lines.
+class alignas(64) MailboxLane {
  public:
-  /// Moves a whole staged batch in (sender side). `batch` is left empty
-  /// with capacity intact, ready for reuse.
+  /// Hands a whole staged batch over (sender side). When the receiver has
+  /// drained everything delivered before, the batch is swapped in whole;
+  /// otherwise it is appended behind the undrained messages. `batch` is
+  /// left empty, ready for reuse.
   void deliver(std::vector<ShardMessage>& batch) {
     if (batch.empty()) return;
     {
       const std::lock_guard<std::mutex> lock(mu_);
-      pending_.insert(pending_.end(), std::make_move_iterator(batch.begin()),
-                      std::make_move_iterator(batch.end()));
+      if (pending_.empty()) {
+        pending_.swap(batch);
+      } else {
+        pending_.insert(pending_.end(), std::make_move_iterator(batch.begin()),
+                        std::make_move_iterator(batch.end()));
+      }
     }
     batch.clear();
   }
 
-  /// Moves everything delivered so far out into `out` (appended; receiver
-  /// side). Returns the number of messages drained.
+  /// Swaps everything delivered so far, in delivery order, into `out`
+  /// (receiver side), which must arrive empty; the lane takes `out`'s old
+  /// vector in exchange. Returns the number of messages drained.
   std::size_t drain(std::vector<ShardMessage>& out) {
+    L3_EXPECTS(out.empty());
     const std::lock_guard<std::mutex> lock(mu_);
-    const std::size_t n = pending_.size();
-    out.insert(out.end(), std::make_move_iterator(pending_.begin()),
-               std::make_move_iterator(pending_.end()));
-    pending_.clear();
-    return n;
+    out.swap(pending_);
+    return out.size();
   }
 
  private:
@@ -82,22 +94,22 @@ class MailboxInbox {
 };
 
 /// Sending side: per (source shard, target shard) bounded buffer. Owned and
-/// touched by the source shard's thread only; the target inbox is the sole
+/// touched by the source shard's thread only; the pair's lane is the sole
 /// cross-thread boundary.
 class MailboxStaging {
  public:
   MailboxStaging() = default;
 
-  void bind(MailboxInbox* inbox, std::size_t capacity) {
-    L3_EXPECTS(inbox != nullptr && capacity >= 1);
-    inbox_ = inbox;
+  void bind(MailboxLane* lane, std::size_t capacity) {
+    L3_EXPECTS(lane != nullptr && capacity >= 1);
+    lane_ = lane;
     capacity_ = capacity;
     buf_.reserve(capacity);
   }
 
-  /// Stages one message; flushes to the inbox first if the buffer is full.
+  /// Stages one message; flushes to the lane first if the buffer is full.
   void post(ShardMessage msg) {
-    L3_EXPECTS(inbox_ != nullptr);
+    L3_EXPECTS(lane_ != nullptr);
     if (buf_.size() >= capacity_) {
       ++stats_.capacity_flushes;
       flush();
@@ -106,11 +118,11 @@ class MailboxStaging {
     ++stats_.messages;
   }
 
-  /// Delivers everything staged to the inbox (no-op when empty). Called at
+  /// Delivers everything staged to the lane (no-op when empty). Called at
   /// every conservative window boundary, BEFORE the horizon is published.
   void flush() {
     if (buf_.empty()) return;
-    inbox_->deliver(buf_);
+    lane_->deliver(buf_);
     ++stats_.flushes;
   }
 
@@ -118,7 +130,7 @@ class MailboxStaging {
   const MailboxStats& stats() const { return stats_; }
 
  private:
-  MailboxInbox* inbox_ = nullptr;
+  MailboxLane* lane_ = nullptr;
   std::size_t capacity_ = 1;
   std::vector<ShardMessage> buf_;
   MailboxStats stats_;

@@ -8,18 +8,19 @@
 // where lookahead(j -> i) is the minimum registered WAN delay floor over
 // cluster pairs (a in j, b in i) — any message j can still emit arrives no
 // earlier than its current horizon plus that floor. Cross-shard traffic
-// travels through bounded per-pair mailboxes (l3/sim/mailbox.h) carrying a
+// travels through bounded per-pair mailboxes (l3/sim/mailbox.h): a staging
+// buffer on the sender feeding one lane per directed shard pair, carrying a
 // shard-count-invariant (origin cluster, origin sequence) key, committed
 // into the target Simulator via schedule_delivered(), so the executed event
 // order — and therefore every simulation result — is byte-identical for any
 // shard count, including 1.
 //
 // Protocol invariants (the determinism/safety argument, also DESIGN.md §14):
-//   * flush-before-publish: a shard delivers all staged messages to target
-//     inboxes before publishing a new horizon (a release store);
-//   * acquire-then-drain: a shard drains its inbox only after acquire()
-//     returns, whose acquire loads of the peers' horizons make all those
-//     flushes visible;
+//   * flush-before-publish: a shard delivers all staged messages to its
+//     outgoing lanes before publishing a new horizon (a release store);
+//   * acquire-then-drain: a shard drains its incoming lanes only after
+//     acquire() returns, whose acquire loads of the peers' horizons make all
+//     those flushes visible;
 //   * a shard that acquires safe > end owes nothing more to anyone: every
 //     message still in flight toward it arrives strictly after `end`.
 // Horizons are lock-free per-shard atomics. A waiting acquirer spins
@@ -108,7 +109,7 @@ class ShardRouter {
   }
 
   /// Runs this shard's simulator to `end` under the conservative barrier:
-  /// repeatedly acquires a safe horizon, drains + commits inbox messages,
+  /// repeatedly acquires a safe horizon, drains + commits lane messages,
   /// executes strictly below the horizon, flushes staging, publishes. The
   /// final window (safe > end) runs inclusively to `end`, exactly like the
   /// legacy Simulator::run_until, then publishes +inf.
@@ -132,7 +133,8 @@ class ShardRouter {
   PostKey claim_post(std::uint32_t origin, std::uint32_t target,
                      SimTime time);
 
-  /// Drains the inbox and commits every message into the simulator under
+  /// Drains each incoming lane, in sender order, into that lane's buffer
+  /// and commits every message straight from it into the simulator under
   /// its origin key. Commit order is irrelevant — the EventQueue orders by
   /// the encoded (time, seq) key.
   void drain_commit();
@@ -142,14 +144,16 @@ class ShardRouter {
   std::size_t shard_ = 0;
   Simulator* sim_ = nullptr;
   std::vector<MailboxStaging> staging_;   // per target shard; self unused
+  /// Per sender shard (self unused): the drain buffer swapped with lane
+  /// sender -> this shard, empty between drains.
+  std::vector<std::vector<ShardMessage>> inbound_;
   std::vector<std::uint32_t> next_seq_;   // per origin cluster
-  std::vector<ShardMessage> drain_buf_;
   SimTime committed_ = 0.0;
 };
 
 /// Owns the shards' shared state: cluster->shard ownership, the cluster-pair
-/// lookahead table, per-shard inboxes/routers, the horizon barrier and the
-/// worker threads.
+/// lookahead table, the shards x shards mailbox lanes, the per-shard
+/// routers, the horizon barrier and the worker threads.
 class ShardEngine {
  public:
   struct Config {
@@ -224,9 +228,10 @@ class ShardEngine {
   /// consume this horizon.
   void publish(std::size_t shard, SimTime horizon);
 
-  MailboxInbox& inbox(std::size_t shard) {
-    L3_EXPECTS(shard < shard_count_);
-    return *inboxes_[shard];
+  /// The lane carrying shard `from`'s messages to shard `to`.
+  MailboxLane& lane(std::size_t from, std::size_t to) {
+    L3_EXPECTS(from < shard_count_ && to < shard_count_ && from != to);
+    return lanes_[from * shard_count_ + to];
   }
 
  private:
@@ -264,7 +269,7 @@ class ShardEngine {
   std::vector<std::vector<std::size_t>> consumers_;
   /// Per shard: the smallest incoming lookahead, which caps a window.
   std::vector<SimDuration> max_window_;
-  std::vector<std::unique_ptr<MailboxInbox>> inboxes_;
+  std::unique_ptr<MailboxLane[]> lanes_;  // row-major from x to; diagonal unused
   std::vector<std::unique_ptr<ShardRouter>> routers_;
   std::unique_ptr<Slot[]> slots_;
 

@@ -60,7 +60,7 @@ for preset in "${presets[@]}"; do
     # the EventQueue slot pool and the picker caches the overhaul leans on,
     # so their invariants get the same TSan coverage.
     # ...plus the shard engine and mailbox suites: the conservative-barrier
-    # handshake and the staging/inbox handoff are the only cross-thread
+    # handshake and the staging/lane handoff are the only cross-thread
     # channels in the sharded simulator, so they run under TSan in full
     # (including the 10k-backend mega scenario on 4 shards).
     # ...plus the control-plane fast-path suites (WindowCursor, ColumnBlock):

@@ -52,13 +52,16 @@ ShardRouter::PostKey ShardRouter::claim_post(std::uint32_t origin,
 }
 
 void ShardRouter::drain_commit() {
-  drain_buf_.clear();
-  engine_->inbox(shard_).drain(drain_buf_);
-  for (ShardMessage& m : drain_buf_) {
-    sim_->schedule_delivered(m.time, m.origin_cluster, m.origin_seq,
-                             std::move(m.fn));
+  for (std::size_t s = 0; s < inbound_.size(); ++s) {
+    if (s == shard_) continue;
+    std::vector<ShardMessage>& buf = inbound_[s];
+    engine_->lane(s, shard_).drain(buf);
+    for (ShardMessage& m : buf) {
+      sim_->schedule_delivered(m.time, m.origin_cluster, m.origin_seq,
+                               std::move(m.fn));
+    }
+    buf.clear();
   }
-  drain_buf_.clear();
 }
 
 void ShardRouter::flush_all() {
@@ -107,22 +110,20 @@ ShardEngine::ShardEngine(Config config)
       // Spinning only pays when every shard can hold a core; oversubscribed,
       // a spinner steals the very core the peer it waits on needs.
       spin_(shard_count_ <= std::max(1u, std::thread::hardware_concurrency())),
+      lanes_(std::make_unique<MailboxLane[]>(shard_count_ * shard_count_)),
       slots_(std::make_unique<Slot[]>(shard_count_)) {
   L3_EXPECTS(shard_count_ >= 1);
   L3_EXPECTS(config_.mailbox_capacity >= 1);
-  inboxes_.reserve(shard_count_);
-  for (std::size_t s = 0; s < shard_count_; ++s) {
-    inboxes_.push_back(std::make_unique<MailboxInbox>());
-  }
   routers_.reserve(shard_count_);
   for (std::size_t s = 0; s < shard_count_; ++s) {
     auto router = std::make_unique<ShardRouter>();
     router->engine_ = this;
     router->shard_ = s;
     router->staging_.resize(shard_count_);
+    router->inbound_.resize(shard_count_);
     for (std::size_t t = 0; t < shard_count_; ++t) {
       if (t == s) continue;
-      router->staging_[t].bind(inboxes_[t].get(), config_.mailbox_capacity);
+      router->staging_[t].bind(&lane(s, t), config_.mailbox_capacity);
     }
     routers_.push_back(std::move(router));
   }

@@ -8,6 +8,13 @@
 // under one allocation per request: the stage frames and every
 // continuation are pooled or inline.
 //
+// Cross-shard mailboxes: the same short/long difference over a sharded
+// mega run, divided by the extra mailbox messages. The staging buffers,
+// lanes and drain buffers trade vectors and keep their capacity, so a
+// steady-state hand-off allocates nothing; the config flushes about two
+// batches for every three messages, so an allocation per flush would show
+// as well over the bound.
+//
 // Idle replicas: the bytes allocated to set up one mega region's
 // deployment, divided by its replica count. An idle replica must cost
 // little more than the Replica object itself: no queue storage until a
@@ -17,6 +24,7 @@
 #include "l3/dsb/runner.h"
 #include "l3/mesh/mesh.h"
 #include "l3/sim/simulator.h"
+#include "l3/workload/mega.h"
 
 #include <gtest/gtest.h>
 
@@ -55,7 +63,7 @@ namespace {
 
 struct Counted {
   std::uint64_t allocations = 0;
-  std::uint64_t requests = 0;
+  std::uint64_t units = 0;  ///< client requests or mailbox messages
 };
 
 Counted hotel_run(SimDuration duration) {
@@ -71,15 +79,44 @@ Counted hotel_run(SimDuration duration) {
 TEST(DsbAllocations, HotelRequestPathIsAllocationFree) {
   const Counted short_run = hotel_run(60.0);
   const Counted long_run = hotel_run(300.0);
-  ASSERT_GT(long_run.requests, short_run.requests + 40000);
+  ASSERT_GT(long_run.units, short_run.units + 40000);
   const double per_request =
       static_cast<double>(long_run.allocations - short_run.allocations) /
-      static_cast<double>(long_run.requests - short_run.requests);
+      static_cast<double>(long_run.units - short_run.units);
   RecordProperty("allocations_per_request", std::to_string(per_request));
   EXPECT_LE(per_request, 0.5)
       << (long_run.allocations - short_run.allocations)
       << " marginal allocations over "
-      << (long_run.requests - short_run.requests) << " requests";
+      << (long_run.units - short_run.units) << " requests";
+}
+
+Counted mega_sharded_run(SimDuration duration) {
+  workload::MegaConfig config;
+  config.regions = 8;
+  config.replicas_per_region = 4;
+  config.rps_per_region = 200.0;
+  config.scrape_interval = 2.0;
+  config.shards = 4;
+  config.duration = duration;
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const workload::MegaResult result = workload::run_mega(config);
+  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  return {after - before, result.mailbox.messages};
+}
+
+TEST(ShardedAllocations, MailboxPathIsAllocationFree) {
+  const Counted short_run = mega_sharded_run(10.0);
+  const Counted long_run = mega_sharded_run(40.0);
+  ASSERT_GT(long_run.units, short_run.units + 50000);
+  const double per_message =
+      static_cast<double>(long_run.allocations - short_run.allocations) /
+      static_cast<double>(long_run.units - short_run.units);
+  RecordProperty("allocations_per_mailbox_message",
+                 std::to_string(per_message));
+  EXPECT_LE(per_message, 0.05)
+      << (long_run.allocations - short_run.allocations)
+      << " marginal allocations over "
+      << (long_run.units - short_run.units) << " mailbox messages";
 }
 
 TEST(ReplicaAllocations, IdleReplicaSetUpStaysSmall) {

@@ -1,7 +1,8 @@
 // Tests for the cross-shard mailboxes: staging flush/capacity counters,
-// inbox batch hand-off, and the keyed-delivery property test — a synthetic
-// multi-cluster cascade executed at several shard counts, checked for exact
-// per-cluster log equality against the single-shard run (which IS the
+// lane batch hand-off (also under a concurrently draining receiver), and
+// the keyed-delivery property test — a synthetic multi-cluster cascade
+// executed at several shard counts, checked for exact per-cluster log
+// equality against the single-shard run (which IS the
 // single-queue oracle: with one shard every post commits straight into one
 // Simulator via schedule_delivered).
 #include "l3/sim/mailbox.h"
@@ -13,7 +14,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -30,9 +33,9 @@ ShardMessage make_msg(SimTime t, std::uint32_t cluster, std::uint32_t seq) {
 }
 
 TEST(Mailbox, StagingFlushesWhenFullAndCountsTraffic) {
-  MailboxInbox inbox;
+  MailboxLane lane;
   MailboxStaging staging;
-  staging.bind(&inbox, 3);
+  staging.bind(&lane, 3);
 
   for (std::uint32_t i = 0; i < 7; ++i) {
     staging.post(make_msg(1.0 + i, 0, i));
@@ -52,30 +55,74 @@ TEST(Mailbox, StagingFlushesWhenFullAndCountsTraffic) {
   EXPECT_EQ(staging.stats().flushes, 3u);
 
   std::vector<ShardMessage> out;
-  EXPECT_EQ(inbox.drain(out), 7u);
+  EXPECT_EQ(lane.drain(out), 7u);
   ASSERT_EQ(out.size(), 7u);
   for (std::uint32_t i = 0; i < 7; ++i) {
     EXPECT_EQ(out[i].origin_seq, i);  // batch order = post order
   }
-  EXPECT_EQ(inbox.drain(out), 0u);  // drained clean
-  EXPECT_EQ(out.size(), 7u);        // drain appends, never clears `out`
+  out.clear();
+  EXPECT_EQ(lane.drain(out), 0u);  // drained clean
+  EXPECT_TRUE(out.empty());
 }
 
 TEST(Mailbox, DeliverLeavesBatchEmptyAndReusable) {
-  MailboxInbox inbox;
+  MailboxLane lane;
   std::vector<ShardMessage> batch;
   batch.push_back(make_msg(1.0, 2, 0));
   batch.push_back(make_msg(2.0, 2, 1));
-  inbox.deliver(batch);
+  lane.deliver(batch);  // empty lane: the batch is swapped in whole
   EXPECT_TRUE(batch.empty());
 
   batch.push_back(make_msg(3.0, 2, 2));
-  inbox.deliver(batch);
+  lane.deliver(batch);  // undrained lane: appended behind the first batch
+  EXPECT_TRUE(batch.empty());
 
   std::vector<ShardMessage> out;
-  EXPECT_EQ(inbox.drain(out), 3u);
+  EXPECT_EQ(lane.drain(out), 3u);
   EXPECT_EQ(out[2].time, 3.0);
   EXPECT_EQ(out[2].origin_seq, 2u);
+}
+
+TEST(Mailbox, LaneHandOffIsExactlyOnceUnderConcurrentDrain) {
+  // One sender thread streams messages through a capacity-3 staging buffer
+  // (so nearly every flush is a capacity flush, racing the receiver) while
+  // the receiver drains in a loop. Every seq must arrive exactly once, in
+  // post order, whichever of swap-in and append each delivery took.
+  constexpr std::uint32_t kMessages = 120000;
+  MailboxLane lane;
+  std::atomic<bool> done{false};
+  std::thread sender([&] {
+    MailboxStaging staging;
+    staging.bind(&lane, 3);
+    for (std::uint32_t i = 0; i < kMessages; ++i) {
+      staging.post(make_msg(1.0, 0, i));
+    }
+    staging.flush();
+    done.store(true, std::memory_order_release);
+  });
+
+  std::vector<ShardMessage> out;
+  std::uint32_t next = 0;
+  std::uint64_t drains = 0;
+  bool ordered = true;
+  for (;;) {
+    // Read the flag BEFORE draining: a drain that follows done == true
+    // sees the final flush, so nothing can be left behind.
+    const bool last = done.load(std::memory_order_acquire);
+    lane.drain(out);
+    for (const ShardMessage& m : out) {
+      ordered = ordered && m.origin_seq == next;
+      ++next;
+    }
+    out.clear();
+    ++drains;
+    if (last) break;
+  }
+  sender.join();
+  EXPECT_TRUE(ordered);
+  EXPECT_EQ(next, kMessages);
+  EXPECT_GT(drains, 1u);
+  EXPECT_EQ(lane.drain(out), 0u);
 }
 
 // --- keyed-delivery property test -----------------------------------------
