@@ -30,7 +30,7 @@ void BM_EwmaObserve(benchmark::State& state) {
 BENCHMARK(BM_EwmaObserve);
 
 void BM_PeakEwmaObserve(benchmark::State& state) {
-  metrics::PeakEwma ewma(5.0, 5.0);
+  metrics::Ewma ewma(5.0, 5.0, 0.0, metrics::FilterKind::kPeakEwma);
   SplitRng rng(1);
   double t = 0.0;
   for (auto _ : state) {

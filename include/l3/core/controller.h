@@ -155,7 +155,7 @@ class L3Controller {
   trace::DecisionJournal& journal() { return journal_; }
 
  private:
-  struct BackendFilters;
+  struct BackendRow;
   struct ManagedSplit;
 
   void tick_split(ManagedSplit& managed);

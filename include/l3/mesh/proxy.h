@@ -156,7 +156,7 @@ class Proxy {
     metrics::Counter* latency_failure_sum;
     metrics::Gauge* inflight;
     /// Client-side latency filter + outstanding count for kPeakEwmaP2C.
-    metrics::PeakEwma p2c_latency;
+    metrics::Ewma p2c_latency;  // kPeakEwma mode
     std::uint32_t outstanding = 0;
   };
 

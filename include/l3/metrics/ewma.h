@@ -2,10 +2,12 @@
 //
 // Both filters are time-decayed: the blend factor depends on the wall-clock
 // gap Δt between samples, E_now = Y·(1 − e^(−Δt/β)) + E_prev·e^(−Δt/β),
-// where β is derived from a configured half-life (β = h / ln 2). A fresh
-// filter reports the default value λ (§4: 5 s for latency, 100 % for success
-// rate, 0 for RPS) so that a new backend is not flooded before a meaningful
-// baseline exists.
+// where β is derived from a configured half-life (β = h / ln 2). PeakEWMA
+// (Eq. 2) differs by one rule: a sample above the current value replaces it
+// outright. One class implements both, selected by a FilterKind at
+// construction. A fresh filter reports the default value λ (§4: 5 s for
+// latency, 100 % for success rate, 0 for RPS) so that a new backend is not
+// flooded before a meaningful baseline exists.
 #pragma once
 
 #include "l3/common/assert.h"
@@ -21,7 +23,15 @@ inline double beta_from_half_life(SimDuration half_life) {
   return half_life / std::log(2.0);
 }
 
-/// Exponentially weighted moving average with time-aware decay (Eq. 1).
+/// Which filter rule an Ewma applies: Eq. 1, or Eq. 2's PeakEWMA (after
+/// Finagle), which jumps to any sample above the current value and decays
+/// cautiously below it — fast on latency spikes at the cost of overweighting
+/// outliers. The L3 controller's latency signal takes either (§5.2.2
+/// compares both).
+enum class FilterKind { kEwma, kPeakEwma };
+
+/// Exponentially weighted moving average with time-aware decay (Eq. 1, or
+/// Eq. 2 in kPeakEwma mode).
 class Ewma {
  public:
   /// @param default_value  λ — the value reported before any sample arrives
@@ -29,17 +39,24 @@ class Ewma {
   /// @param half_life      time for an old sample's weight to halve.
   /// @param start_time     timestamp the filter is initialised at; the first
   ///                       sample's Δt is measured from here.
-  Ewma(double default_value, SimDuration half_life, SimTime start_time = 0.0)
+  /// @param kind           kEwma (Eq. 1) or kPeakEwma (Eq. 2).
+  Ewma(double default_value, SimDuration half_life, SimTime start_time = 0.0,
+       FilterKind kind = FilterKind::kEwma)
       : default_(default_value),
         beta_(beta_from_half_life(half_life)),
         value_(default_value),
-        last_time_(start_time) {}
+        last_time_(start_time),
+        kind_(kind) {}
 
   /// Feeds a sample observed at time `t` (monotonically non-decreasing).
   void observe(double sample, SimTime t) {
     L3_EXPECTS(t >= last_time_);
-    const double decay = std::exp(-(t - last_time_) / beta_);
-    value_ = sample * (1.0 - decay) + value_ * decay;
+    if (kind_ == FilterKind::kPeakEwma && sample > value_) {
+      value_ = sample;  // Eq. 2 middle case: jump to the peak.
+    } else {
+      const double decay = std::exp(-(t - last_time_) / beta_);
+      value_ = sample * (1.0 - decay) + value_ * decay;
+    }
     last_time_ = t;
     has_samples_ = true;
   }
@@ -48,7 +65,8 @@ class Ewma {
   /// default value in small increments — the same time-decayed blend as
   /// observe(λ), but WITHOUT marking the filter as having samples: a
   /// backend that only ever converged must still report has_samples() ==
-  /// false, as no real metric has arrived.
+  /// false, as no real metric has arrived. Peak mode blends too, without
+  /// the jump rule, so a peak decays during quiet periods.
   void converge_to_default(SimTime t) {
     L3_EXPECTS(t >= last_time_);
     const double decay = std::exp(-(t - last_time_) / beta_);
@@ -77,107 +95,8 @@ class Ewma {
   double beta_;
   double value_;
   SimTime last_time_;
-  bool has_samples_ = false;
-};
-
-/// PeakEWMA (Eq. 2, after Finagle): like Ewma, but when a sample exceeds the
-/// current value the filter jumps to the sample instantly, then decays
-/// cautiously. Reacts fast to latency spikes at the cost of overweighting
-/// outliers.
-class PeakEwma {
- public:
-  PeakEwma(double default_value, SimDuration half_life,
-           SimTime start_time = 0.0)
-      : default_(default_value),
-        beta_(beta_from_half_life(half_life)),
-        value_(default_value),
-        last_time_(start_time) {}
-
-  void observe(double sample, SimTime t) {
-    L3_EXPECTS(t >= last_time_);
-    if (sample > value_) {
-      value_ = sample;  // Eq. 2 middle case: jump to the peak.
-    } else {
-      const double decay = std::exp(-(t - last_time_) / beta_);
-      value_ = sample * (1.0 - decay) + value_ * decay;
-    }
-    last_time_ = t;
-    has_samples_ = true;
-  }
-
-  void converge_to_default(SimTime t) {
-    // Peaks must decay during quiet periods too, so the default is blended
-    // in without the jump rule. Like Ewma::converge_to_default, this never
-    // sets has_samples_ (audited together: converging is not observing).
-    L3_EXPECTS(t >= last_time_);
-    const double decay = std::exp(-(t - last_time_) / beta_);
-    value_ = default_ * (1.0 - decay) + value_ * decay;
-    last_time_ = t;
-  }
-
-  double value() const { return value_; }
-  bool has_samples() const { return has_samples_; }
-  double default_value() const { return default_; }
-  SimTime last_update() const { return last_time_; }
-
-  void reset(SimTime t) {
-    value_ = default_;
-    last_time_ = t;
-    has_samples_ = false;
-  }
-
- private:
-  double default_;
-  double beta_;
-  double value_;
-  SimTime last_time_;
-  bool has_samples_ = false;
-};
-
-/// Which latency filter the L3 controller uses (§5.2.2 compares both).
-enum class FilterKind { kEwma, kPeakEwma };
-
-/// A runtime-selectable latency filter wrapping Ewma or PeakEwma, so the
-/// controller can be configured per §5.2.2 without templating its state.
-class LatencyFilter {
- public:
-  LatencyFilter(FilterKind kind, double default_value, SimDuration half_life,
-                SimTime start_time = 0.0)
-      : kind_(kind),
-        ewma_(default_value, half_life, start_time),
-        peak_(default_value, half_life, start_time) {}
-
-  void observe(double sample, SimTime t) {
-    if (kind_ == FilterKind::kEwma) {
-      ewma_.observe(sample, t);
-    } else {
-      peak_.observe(sample, t);
-    }
-  }
-
-  void converge_to_default(SimTime t) {
-    if (kind_ == FilterKind::kEwma) {
-      ewma_.converge_to_default(t);
-    } else {
-      peak_.converge_to_default(t);
-    }
-  }
-
-  double value() const {
-    return kind_ == FilterKind::kEwma ? ewma_.value() : peak_.value();
-  }
-
-  bool has_samples() const {
-    return kind_ == FilterKind::kEwma ? ewma_.has_samples()
-                                      : peak_.has_samples();
-  }
-
-  FilterKind kind() const { return kind_; }
-
- private:
   FilterKind kind_;
-  Ewma ewma_;
-  PeakEwma peak_;
+  bool has_samples_ = false;
 };
 
 }  // namespace l3::metrics

@@ -11,7 +11,6 @@
 #include "l3/common/assert.h"
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
 #include <utility>
 #include <vector>
@@ -21,21 +20,12 @@ namespace l3::metrics {
 /// FIFO ring with random access. Samples enter at the back (append) and
 /// leave at the front (retention trimming). Storage is allocated on the
 /// first push_back (8 slots) and doubles whenever the ring is full.
-///
-/// Elements also carry an absolute sequence number: the i-th oldest element
-/// is sequence `popped() + i`, and sequences never repeat or shift as the
-/// ring trims. Window cursors cache sequences rather than indices so a
-/// pop_front (retention trimming, compact) cannot silently re-point them at
-/// a different sample.
+/// Indices are relative to the current front, so a pop_front shifts them.
 template <typename T>
 class SampleRing {
  public:
   std::size_t size() const noexcept { return size_; }
   bool empty() const noexcept { return size_ == 0; }
-
-  /// Number of elements ever removed from the front — the absolute sequence
-  /// number of the current front element.
-  std::uint64_t popped() const noexcept { return popped_; }
 
   /// i-th oldest element, 0 <= i < size().
   const T& operator[](std::size_t i) const {
@@ -59,7 +49,6 @@ class SampleRing {
     slots_[head_] = T{};
     head_ = (head_ + 1) & mask_;
     --size_;
-    ++popped_;
   }
 
   /// Removes the front element and returns it, moved out.
@@ -76,7 +65,6 @@ class SampleRing {
     head_ = 0;
     size_ = 0;
     mask_ = 0;
-    popped_ = 0;
   }
 
   /// Capacity currently reserved (always zero or a power of two).
@@ -101,7 +89,6 @@ class SampleRing {
   std::size_t head_ = 0;
   std::size_t size_ = 0;
   std::size_t mask_ = 0;
-  std::uint64_t popped_ = 0;
 };
 
 /// FIFO ring of fixed-width double rows, stored in ONE contiguous slab
@@ -118,9 +105,6 @@ class RowRing {
   std::size_t size() const noexcept { return size_; }
   bool empty() const noexcept { return size_ == 0; }
   std::size_t width() const noexcept { return width_; }
-
-  /// Rows ever removed from the front (absolute sequence of the front row).
-  std::uint64_t popped() const noexcept { return popped_; }
 
   /// i-th oldest row, 0 <= i < size().
   std::span<const double> operator[](std::size_t i) const {
@@ -145,7 +129,6 @@ class RowRing {
     L3_EXPECTS(size_ > 0);
     head_ = (head_ + 1) & mask_;
     --size_;
-    ++popped_;
   }
 
   /// Row capacity currently reserved (zero or a power of two).
@@ -175,7 +158,6 @@ class RowRing {
   std::size_t head_ = 0;  ///< front row index (in rows, not doubles)
   std::size_t size_ = 0;  ///< rows stored
   std::size_t mask_ = 0;  ///< row-capacity - 1
-  std::uint64_t popped_ = 0;
 };
 
 }  // namespace l3::metrics

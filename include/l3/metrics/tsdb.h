@@ -14,16 +14,12 @@
 // a bounds declaration (set_histogram_bounds) made once; the string-keyed
 // scalar append and queries are a thin layer over the interned API.
 //
-// Window folds are incremental: each series carries a WindowCursor caching
-// the [first, end) sample span of the last query as ABSOLUTE sequence
-// numbers (SampleRing::popped()-based, so retention trims can't re-point
-// it). The controller always asks with the same window and monotonically
-// increasing `now`, so steady-state queries advance the cursor a step or
-// two instead of re-running two binary searches per query; a different
-// window or a backwards `now` falls back to the binary search and reseeds
-// the cursor. The fold only locates window boundaries — the arithmetic on
-// the samples inside (rate endpoints, avg summation order, quantile bucket
-// deltas) is unchanged, which is what keeps every output byte identical.
+// Window queries binary-search the ring they read for the window's first
+// and last samples. The runners size retention to the controller's query
+// window, so a ring holds only a handful of samples (3 at a 5 s scrape and
+// a 10 s window) and each query is a few comparisons. Queries are pure
+// reads: the same store answers the same (window, now) identically in any
+// order.
 #pragma once
 
 #include "l3/common/time.h"
@@ -166,10 +162,8 @@ class TimeSeriesDb {
   /// themselves on append, so a series that stops receiving samples
   /// (disabled scrape target, removed backend) would otherwise pin its
   /// stale samples forever; the scraper calls this once per scrape.
-  ///
-  /// Amortized: a global oldest-sample watermark makes the call O(1) when
-  /// nothing can be stale, and the sweep skips already-fresh series with a
-  /// single timestamp comparison each.
+  /// Sweeps every series, skipping an already-fresh one with a single
+  /// timestamp comparison.
   void compact(SimTime now);
 
   /// Number of scalar series holding at least one sample. (Interned ids
@@ -194,33 +188,14 @@ class TimeSeriesDb {
 
   SimDuration retention() const { return retention_; }
 
-  /// Window-fold cursor statistics, for tests and the control_plane bench:
-  /// a "hit" is a query answered by advancing a cached cursor, a "rebuild"
-  /// is a query that had to fall back to the two binary searches (first
-  /// query of a series, window change, or non-monotone `now`).
-  std::uint64_t cursor_hits() const { return cursor_hits_; }
-  std::uint64_t cursor_rebuilds() const { return cursor_rebuilds_; }
-
  private:
   struct ScalarSample {
     SimTime t = 0.0;
     double v = 0.0;
   };
-  /// Cached window span of the most recent query against one series, in
-  /// absolute sample sequences (see SampleRing::popped()). Valid for a new
-  /// query iff the window matches and `now` did not go backwards; then the
-  /// span only needs advancing forward past newly-expired / newly-appended
-  /// samples.
-  struct WindowCursor {
-    SimDuration window = -1.0;  ///< -1 never matches a real (positive) window
-    SimTime last_now = 0.0;
-    std::uint64_t first = 0;  ///< seq of first sample with t >= now - window
-    std::uint64_t end = 0;    ///< seq one past the last sample with t <= now
-  };
   struct ScalarSeries {
     std::string name;
     SampleRing<ScalarSample> samples;
-    mutable WindowCursor cursor;
   };
   /// Columnar histogram series: timestamps in one ring, cumulative bucket
   /// rows in a parallel fixed-width slab ring (kept in lockstep).
@@ -230,7 +205,6 @@ class TimeSeriesDb {
     bool bounds_set = false;
     SampleRing<SimTime> times;
     RowRing rows;
-    mutable WindowCursor cursor;
   };
 
   /// Heterogeneous hashing so string_view lookups don't allocate.
@@ -244,21 +218,6 @@ class TimeSeriesDb {
       std::unordered_map<std::string, std::uint32_t, StringHash,
                          std::equal_to<>>;
 
-  /// Lowers the global oldest-sample watermark for a series whose first
-  /// sample just landed at time t.
-  void note_new_front(SimTime t) {
-    if (t < oldest_sample_) oldest_sample_ = t;
-  }
-
-  /// Locates the window [now - window, now] in a time-ordered sequence via
-  /// the series' cursor (advance) or binary search (reseed). Returns the
-  /// logical [first, last] index pair, or nullopt if fewer than
-  /// `min_samples` samples fall inside.
-  template <typename GetTime>
-  std::optional<std::pair<std::size_t, std::size_t>> fold_window(
-      WindowCursor& cursor, std::size_t count, std::uint64_t base,
-      GetTime time_at, SimDuration window, SimTime now,
-      std::size_t min_samples) const;
 
   std::vector<ScalarSeries> scalars_;
   std::vector<HistoSeries> histograms_;
@@ -267,15 +226,8 @@ class TimeSeriesDb {
   /// Reused scratch for quantile bucket deltas (sized to the widest row
   /// queried); avoids a vector allocation per quantile query.
   mutable std::vector<double> delta_scratch_;
-  mutable std::uint64_t cursor_hits_ = 0;
-  mutable std::uint64_t cursor_rebuilds_ = 0;
   std::size_t nonempty_scalars_ = 0;
   std::size_t nonempty_histograms_ = 0;
-  /// Lower bound on the oldest sample timestamp across ALL series; compact
-  /// is a no-op while `oldest_sample_ >= now - retention`. Refreshed to the
-  /// exact minimum by each sweep.
-  SimTime oldest_sample_ = kNoSamples;
-  static constexpr SimTime kNoSamples = 1e300;
   SimDuration retention_;
 };
 

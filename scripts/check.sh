@@ -11,8 +11,8 @@
 #     one Release rep per workload against pinned digests), and an
 #     L3_OBS=OFF byte-identical golden;
 #   * the Release flight-recorder overhead gate (trace_overhead --obs-gate).
-# Structural performance bugs (a picker rebuilt per pick, a scrape plan or
-# window cursor rebuilt per tick, a barrier that synchronises per event, a
+# Structural performance bugs (a picker rebuilt per pick, a scrape plan
+# rebuilt per tick, a barrier that synchronises per event, a
 # proxy cost model that stops feeding the latency signal) are ctest
 # invariants; wall-clock regressions are the benchmark's A/B (BENCHMARK.json).
 # A full run writes no tracked file.
@@ -63,14 +63,16 @@ for preset in "${presets[@]}"; do
     # handshake and the staging/lane handoff are the only cross-thread
     # channels in the sharded simulator, so they run under TSan in full
     # (including the 10k-backend mega scenario on 4 shards).
-    # ...plus the control-plane fast-path suites (WindowCursor, ColumnBlock):
-    # single-threaded by design, but their cursor/plan caches are mutable
-    # state the sharded runners touch per tick, so they get TSan coverage.
+    # ...plus the control-plane suites (TsdbWindow, ColumnBlock, and the
+    # controller's steady-state scrape-plan reuse): single-threaded by
+    # design, but the TSDB rings and query scratch and the scrape-plan
+    # cache are mutable state every sharded runner touches per tick, so
+    # they get TSan coverage.
     # ...plus the proxy cost-model suites (ProxyCost, ConnectionPool): the
     # pool/CPU-stage state rides inside every proxy the parallel experiment
     # runner and the sharded mega scenario instantiate per worker.
     ctest --preset "$preset" \
-      -R 'Experiment|ResultGrid|CellSeed|Simulator|LogContext|SlotPool|ProxyCallPool|Chaos|Crash|ObsRecorder|DispatchBatch|BatchedTraceIdentity|PickKernels|Shard|Mailbox|Mega|WindowCursor|ColumnBlock|ProxyCost|ConnectionPool'
+      -R 'Experiment|ResultGrid|CellSeed|Simulator|LogContext|SlotPool|ProxyCallPool|Chaos|Crash|ObsRecorder|DispatchBatch|BatchedTraceIdentity|PickKernels|Shard|Mailbox|Mega|TsdbWindow|ColumnBlock|ReusesScrapePlan|ProxyCost|ConnectionPool'
   else
     ctest --preset "$preset"
   fi

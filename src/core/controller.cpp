@@ -10,11 +10,14 @@ namespace l3::core {
 
 namespace mn = mesh::metric_names;
 
-/// Per-backend filter bank (one row of Table 1's EWMAs).
-struct L3Controller::BackendFilters {
-  BackendFilters(const ControllerConfig& cfg, SimTime t)
-      : latency(cfg.latency_filter, cfg.default_latency, cfg.latency_half_life,
-                t),
+/// One managed backend: its filter bank (one row of Table 1's EWMAs), the
+/// TSDB handles and introspection gauges resolved once in manage() (so the
+/// 5 s control tick does zero string work; Registry guarantees pointer
+/// stability), and the raw query results of the current tick.
+struct L3Controller::BackendRow {
+  BackendRow(const ControllerConfig& cfg, SimTime t)
+      : latency(cfg.default_latency, cfg.latency_half_life, t,
+                cfg.latency_filter),
         success(cfg.default_success_rate, cfg.success_half_life, t),
         rps(cfg.default_rps, cfg.rps_half_life, t),
         inflight(cfg.default_inflight, cfg.inflight_half_life, t),
@@ -27,7 +30,7 @@ struct L3Controller::BackendFilters {
         // threshold on the very first tick).
         last_data(t) {}
 
-  metrics::LatencyFilter latency;
+  metrics::Ewma latency;
   metrics::Ewma success;
   metrics::Ewma rps;
   metrics::Ewma inflight;
@@ -36,62 +39,49 @@ struct L3Controller::BackendFilters {
   /// Filtered latency of FAILED requests — input to dynamic penalty (§7).
   metrics::Ewma failure_latency;
   SimTime last_data = 0.0;
-};
 
-struct L3Controller::ManagedSplit {
-  mesh::TrafficSplit* split = nullptr;
-  std::vector<BackendFilters> filters;
-  /// Interned TSDB handles, resolved once in manage() so the 5 s control
-  /// tick queries the store with zero string work. One column per signal
-  /// (SoA): the gather phase walks each column in a tight loop, which also
-  /// keeps each series' window cursor advancing with consecutive accesses.
-  struct KeyColumns {
-    std::vector<metrics::SeriesId> requests;
-    std::vector<metrics::SeriesId> success;
-    std::vector<metrics::SeriesId> failure;
-    std::vector<metrics::HistogramId> latency_success;
-    std::vector<metrics::HistogramId> latency_failure;
-    std::vector<metrics::SeriesId> latency_success_sum;
-    std::vector<metrics::SeriesId> inflight;
+  struct Series {
+    metrics::SeriesId requests;
+    metrics::SeriesId success;
+    metrics::SeriesId failure;
+    metrics::HistogramId latency_success;
+    metrics::HistogramId latency_failure;
+    metrics::SeriesId latency_success_sum;
+    metrics::SeriesId inflight;
   };
-  KeyColumns keys;
-  /// Raw per-backend query results of one tick, one column per signal.
-  /// Persistent scratch: resized once, overwritten every tick.
-  struct GatherColumns {
-    std::vector<std::optional<double>> rps;
-    std::vector<std::optional<double>> succ_rate;
-    std::vector<std::optional<double>> fail_rate;
-    std::vector<std::optional<double>> p99;
-    std::vector<std::optional<double>> inflight;
-    std::vector<std::optional<double>> latency_sum_rate;
-    std::vector<std::optional<double>> fail_p50;
-    void resize(std::size_t n) {
-      rps.resize(n);
-      succ_rate.resize(n);
-      fail_rate.resize(n);
-      p99.resize(n);
-      inflight.resize(n);
-      latency_sum_rate.resize(n);
-      fail_p50.resize(n);
-    }
-  };
-  GatherColumns gather;
-  /// Per-tick scratch reused across ticks (PolicyInput takes spans).
-  std::vector<lb::BackendSignals> signals_scratch;
-  std::vector<mesh::BackendRef> refs_scratch;
-  /// Introspection gauges per backend, resolved once in manage() (Registry
-  /// guarantees pointer stability) instead of per tick via series_key().
-  struct IntrospectionGauges {
+  Series series;
+
+  struct Gauges {
     metrics::Gauge* weight = nullptr;
     metrics::Gauge* latency_p99 = nullptr;
     metrics::Gauge* success_rate = nullptr;
     metrics::Gauge* rps = nullptr;
     metrics::Gauge* inflight = nullptr;
   };
-  std::vector<IntrospectionGauges> introspection;
+  Gauges gauges;
+
+  /// What this tick's window queries returned (nullopt: not enough samples).
+  struct Raw {
+    std::optional<double> rps;
+    std::optional<double> succ_rate;
+    std::optional<double> fail_rate;
+    std::optional<double> p99;
+    std::optional<double> inflight;
+    std::optional<double> latency_sum_rate;
+    std::optional<double> fail_p50;
+  };
+  Raw raw;
+};
+
+struct L3Controller::ManagedSplit {
+  mesh::TrafficSplit* split = nullptr;
+  /// One row per split backend, in backend order.
+  std::vector<BackendRow> backends;
+  /// Per-tick scratch reused across ticks (PolicyInput takes spans).
+  std::vector<lb::BackendSignals> signals_scratch;
+  std::vector<mesh::BackendRef> refs_scratch;
   metrics::Ewma total_rps{0.0, 10.0};  // re-initialised in manage()
   double last_rps_sample = 0.0;
-  std::vector<std::uint64_t> last_weights;
 };
 
 L3Controller::L3Controller(mesh::Mesh& mesh, metrics::TimeSeriesDb& tsdb,
@@ -126,38 +116,28 @@ void L3Controller::manage(mesh::TrafficSplit& split) {
   managed->total_rps = metrics::Ewma(config_.default_rps,
                                      config_.rps_half_life, now);
   const std::string& src_name = mesh_.cluster_names()[source_];
+  auto& registry = mesh_.registry(source_);
   for (const auto& backend : split.backends()) {
-    managed->filters.emplace_back(config_, now);
+    BackendRow& row = managed->backends.emplace_back(config_, now);
     const std::string& dst_name = mesh_.cluster_names()[backend.ref.cluster];
-    auto& keys = managed->keys;
-    keys.requests.push_back(tsdb_.series(
-        mn::backend_series(mn::kRequestTotal, split.service(), src_name,
-                           dst_name)));
-    keys.success.push_back(tsdb_.series(mn::backend_series(
-        mn::kSuccessTotal, split.service(), src_name, dst_name)));
-    keys.failure.push_back(tsdb_.series(mn::backend_series(
-        mn::kFailureTotal, split.service(), src_name, dst_name)));
-    keys.latency_success.push_back(tsdb_.histogram_series(mn::backend_series(
-        mn::kLatencySuccess, split.service(), src_name, dst_name)));
-    keys.latency_failure.push_back(tsdb_.histogram_series(mn::backend_series(
-        mn::kLatencyFailure, split.service(), src_name, dst_name)));
-    keys.latency_success_sum.push_back(tsdb_.series(mn::backend_series(
-        mn::kLatencySuccessSum, split.service(), src_name, dst_name)));
-    keys.inflight.push_back(tsdb_.series(mn::backend_series(
-        mn::kInflight, split.service(), src_name, dst_name)));
+    const auto key = [&](const char* metric) {
+      return mn::backend_series(metric, split.service(), src_name, dst_name);
+    };
+    row.series = {tsdb_.series(key(mn::kRequestTotal)),
+                  tsdb_.series(key(mn::kSuccessTotal)),
+                  tsdb_.series(key(mn::kFailureTotal)),
+                  tsdb_.histogram_series(key(mn::kLatencySuccess)),
+                  tsdb_.histogram_series(key(mn::kLatencyFailure)),
+                  tsdb_.series(key(mn::kLatencySuccessSum)),
+                  tsdb_.series(key(mn::kInflight))};
 
-    auto& registry = mesh_.registry(source_);
     const auto labels = mn::backend_labels(split.service(), src_name, dst_name);
-    ManagedSplit::IntrospectionGauges gauges;
-    gauges.weight = &registry.gauge("l3_backend_weight", labels);
-    gauges.latency_p99 = &registry.gauge("l3_backend_latency_p99_ewma", labels);
-    gauges.success_rate =
-        &registry.gauge("l3_backend_success_rate_ewma", labels);
-    gauges.rps = &registry.gauge("l3_backend_rps_ewma", labels);
-    gauges.inflight = &registry.gauge("l3_backend_inflight_ewma", labels);
-    managed->introspection.push_back(gauges);
+    row.gauges = {&registry.gauge("l3_backend_weight", labels),
+                  &registry.gauge("l3_backend_latency_p99_ewma", labels),
+                  &registry.gauge("l3_backend_success_rate_ewma", labels),
+                  &registry.gauge("l3_backend_rps_ewma", labels),
+                  &registry.gauge("l3_backend_inflight_ewma", labels)};
   }
-  managed->last_weights = split.weights();
   managed_.push_back(std::move(managed));
 }
 
@@ -200,47 +180,28 @@ void L3Controller::tick() {
 void L3Controller::tick_split(ManagedSplit& managed) {
   const SimTime now = mesh_.simulator().now();
   const SimDuration window = config_.query_window;
-  const std::size_t n = managed.filters.size();
+  const std::size_t n = managed.backends.size();
 
-  // Phase 1 — fused gather: all TSDB reads for the split, one signal column
-  // at a time. Every query is independent (per-series cursors, identical
-  // results in any order), so walking column-wise is free to reorder them
-  // relative to the old per-backend interleaving while producing the same
-  // values; the filter arithmetic below still runs per backend in the
-  // original order, keeping the outputs byte-identical.
-  auto& g = managed.gather;
-  g.resize(n);
+  // Phase 1 — gather: every TSDB read for the split, one backend row at a
+  // time. Queries are pure reads, so running them all before any filter
+  // update cannot change a value.
   {
     L3_OBS_SCOPE(obs_gather, kControllerGather);
-    const auto& keys = managed.keys;
-    for (std::size_t i = 0; i < n; ++i) {
-      g.rps[i] = tsdb_.rate(keys.requests[i], window, now);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      g.succ_rate[i] = tsdb_.rate(keys.success[i], window, now);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      g.fail_rate[i] = tsdb_.rate(keys.failure[i], window, now);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      g.p99[i] =
-          tsdb_.quantile(keys.latency_success[i], config_.quantile, window,
-                         now);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      g.inflight[i] = tsdb_.avg(keys.inflight[i], window, now);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      g.latency_sum_rate[i] =
-          tsdb_.rate(keys.latency_success_sum[i], window, now);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      g.fail_p50[i] = tsdb_.quantile(keys.latency_failure[i], 0.50, window,
-                                     now);
+    for (BackendRow& row : managed.backends) {
+      const BackendRow::Series& id = row.series;
+      BackendRow::Raw& raw = row.raw;
+      raw.rps = tsdb_.rate(id.requests, window, now);
+      raw.succ_rate = tsdb_.rate(id.success, window, now);
+      raw.fail_rate = tsdb_.rate(id.failure, window, now);
+      raw.p99 = tsdb_.quantile(id.latency_success, config_.quantile, window,
+                               now);
+      raw.inflight = tsdb_.avg(id.inflight, window, now);
+      raw.latency_sum_rate = tsdb_.rate(id.latency_success_sum, window, now);
+      raw.fail_p50 = tsdb_.quantile(id.latency_failure, 0.50, window, now);
     }
   }
 
-  // Phase 2 — per-backend filter updates from the gathered columns.
+  // Phase 2 — per-backend filter updates from the gathered results.
   managed.signals_scratch.assign(n, lb::BackendSignals{});
   std::vector<lb::BackendSignals>& signals = managed.signals_scratch;
   double total_rps_sample = 0.0;
@@ -249,15 +210,9 @@ void L3Controller::tick_split(ManagedSplit& managed) {
   int failure_latency_n = 0;
 
   for (std::size_t i = 0; i < n; ++i) {
-    BackendFilters& f = managed.filters[i];
-
-    const auto& rps = g.rps[i];
-    const auto& succ_rate = g.succ_rate[i];
-    const auto& fail_rate = g.fail_rate[i];
-    const auto& p99 = g.p99[i];
-    const auto& inflight = g.inflight[i];
-    const auto& latency_sum_rate = g.latency_sum_rate[i];
-    const auto& fail_p50 = g.fail_p50[i];
+    BackendRow& f = managed.backends[i];
+    const auto& [rps, succ_rate, fail_rate, p99, inflight, latency_sum_rate,
+                 fail_p50] = f.raw;
 
     const bool have_data = rps.has_value() && *rps > 0.0;
     if (have_data) {
@@ -326,7 +281,6 @@ void L3Controller::tick_split(ManagedSplit& managed) {
   lb::PolicyExplain explain;
   std::vector<std::uint64_t> weights = policy_->compute_explained(input, explain);
   L3_ASSERT(weights.size() == managed.split->backend_count());
-  managed.last_weights = weights;
 
   if (active_ && managed.split->set_weights(weights)) {
     L3_OBS_COUNT(kWeightUpdates, 1);
@@ -361,10 +315,12 @@ void L3Controller::tick_split(ManagedSplit& managed) {
   }
 
   // Controller-internal state as gauges (weight + filtered signals per
-  // backend) in the source cluster's registry.
-  for (std::size_t i = 0; i < refs.size(); ++i) {
-    const auto& gauges = managed.introspection[i];
-    gauges.weight->set(static_cast<double>(weights[i]));
+  // backend) in the source cluster's registry. The weight is the split's,
+  // which a paused controller leaves unchanged.
+  const auto applied = managed.split->backends();
+  for (std::size_t i = 0; i < n; ++i) {
+    const BackendRow::Gauges& gauges = managed.backends[i].gauges;
+    gauges.weight->set(static_cast<double>(applied[i].weight));
     gauges.latency_p99->set(signals[i].latency_p99);
     gauges.success_rate->set(signals[i].success_rate);
     gauges.rps->set(signals[i].rps);
@@ -381,16 +337,15 @@ std::vector<SplitStateView> L3Controller::snapshot() const {
     view.total_rps_ewma = managed->total_rps.value();
     view.total_rps_last = managed->last_rps_sample;
     const auto backends = managed->split->backends();
-    for (std::size_t i = 0; i < managed->filters.size(); ++i) {
-      const BackendFilters& f = managed->filters[i];
+    for (std::size_t i = 0; i < managed->backends.size(); ++i) {
+      const BackendRow& f = managed->backends[i];
       BackendStateView b;
       b.dst_cluster = mesh_.cluster_names()[backends[i].ref.cluster];
       b.latency_p99 = f.latency.value();
       b.success_rate = f.success.value();
       b.rps = f.rps.value();
       b.inflight = f.inflight.value();
-      b.weight = i < managed->last_weights.size() ? managed->last_weights[i]
-                                                  : backends[i].weight;
+      b.weight = backends[i].weight;
       view.backends.push_back(std::move(b));
     }
     out.push_back(std::move(view));

@@ -58,7 +58,7 @@ Proxy::Proxy(sim::Simulator& sim, const WanModel& wan, ClusterId source,
         &registry.counter(metric_names::kLatencyFailureSum, labels),
         &registry.gauge(metric_names::kInflight, labels),
         // kPeakEwmaP2C's client-side score: 5 ms initial, 5 s half-life.
-        metrics::PeakEwma(0.005, 5.0, sim.now()),
+        metrics::Ewma(0.005, 5.0, sim.now(), metrics::FilterKind::kPeakEwma),
         0,
     };
     backends_.push_back(std::move(slot));

@@ -112,8 +112,8 @@ void Scraper::scrape_once() {
                      plan.histograms.size();
   }
   // Series belonging to disabled targets receive no appends (which is where
-  // per-series trimming happens); the compact call reaps them. It is O(1)
-  // while nothing in the store has aged past the retention horizon.
+  // per-series trimming happens); the compact call reaps them. It sweeps
+  // every series, one timestamp comparison for each that is still fresh.
   tsdb_.compact(now);
   ++scrapes_;
   L3_OBS_COUNT(kScraperSeries, series_copied);

@@ -44,41 +44,20 @@ std::size_t upper_bound_time(std::size_t count, GetTime time_at, SimTime now) {
   return lo;
 }
 
-}  // namespace
-
+/// Locates the window [now - window, now] in a time-ordered sequence of
+/// `count` samples. Returns the logical [first, last] index pair, or nullopt
+/// if fewer than `min_samples` samples fall inside.
 template <typename GetTime>
-std::optional<std::pair<std::size_t, std::size_t>> TimeSeriesDb::fold_window(
-    WindowCursor& cursor, std::size_t count, std::uint64_t base,
-    GetTime time_at, SimDuration window, SimTime now,
-    std::size_t min_samples) const {
-  const SimTime start = now - window;
-  std::uint64_t first;
-  std::uint64_t end;
-  if (cursor.window == window && now >= cursor.last_now) {
-    // Same window, time moving forward: the cached span can only grow at
-    // the back (new appends) and shrink at the front (samples aging past
-    // `start`) — advance, don't search. Retention may have popped samples
-    // the cursor still points at; clamping to `base` keeps the sequences
-    // inside the ring (the popped samples were older, i.e. before `first`).
-    first = std::max(cursor.first, base);
-    end = std::max(cursor.end, first);
-    ++cursor_hits_;
-  } else {
-    first = base + lower_bound_time(count, time_at, start);
-    end = base + upper_bound_time(count, time_at, now);
-    ++cursor_rebuilds_;
-  }
-  while (first - base < count && time_at(first - base) < start) ++first;
-  if (end < first) end = first;
-  while (end - base < count && time_at(end - base) <= now) ++end;
-  cursor.window = window;
-  cursor.last_now = now;
-  cursor.first = first;
-  cursor.end = end;
-  if (end - first < min_samples) return std::nullopt;
-  return std::make_pair(static_cast<std::size_t>(first - base),
-                        static_cast<std::size_t>(end - base - 1));
+std::optional<std::pair<std::size_t, std::size_t>> window_span(
+    std::size_t count, GetTime time_at, SimDuration window, SimTime now,
+    std::size_t min_samples) {
+  const std::size_t first = lower_bound_time(count, time_at, now - window);
+  const std::size_t end = upper_bound_time(count, time_at, now);
+  if (end < first + min_samples) return std::nullopt;
+  return std::make_pair(first, end - 1);
 }
+
+}  // namespace
 
 TimeSeriesDb::TimeSeriesDb(SimDuration retention) : retention_(retention) {
   // A negative retention would trim the sample just appended; NaN or +inf
@@ -91,7 +70,7 @@ SeriesId TimeSeriesDb::series(std::string_view name) {
   if (it != scalar_index_.end()) return SeriesId(it->second);
   const auto index = static_cast<std::uint32_t>(scalars_.size());
   L3_EXPECTS(index != SeriesId::kInvalid);
-  scalars_.push_back(ScalarSeries{std::string(name), {}, {}});
+  scalars_.push_back(ScalarSeries{std::string(name), {}});
   scalar_index_.emplace(std::string(name), index);
   return SeriesId(index);
 }
@@ -101,7 +80,7 @@ HistogramId TimeSeriesDb::histogram_series(std::string_view name) {
   if (it != histogram_index_.end()) return HistogramId(it->second);
   const auto index = static_cast<std::uint32_t>(histograms_.size());
   L3_EXPECTS(index != HistogramId::kInvalid);
-  histograms_.push_back(HistoSeries{std::string(name), {}, false, {}, {}, {}});
+  histograms_.push_back(HistoSeries{std::string(name), {}, false, {}, {}});
   histogram_index_.emplace(std::string(name), index);
   return HistogramId(index);
 }
@@ -123,10 +102,7 @@ void TimeSeriesDb::append(SeriesId id, SimTime t, double value) {
   L3_EXPECTS(id.valid() && id.index_ < scalars_.size());
   auto& samples = scalars_[id.index_].samples;
   L3_EXPECTS(samples.empty() || t >= samples.back().t);
-  if (samples.empty()) {
-    ++nonempty_scalars_;
-    note_new_front(t);
-  }
+  if (samples.empty()) ++nonempty_scalars_;
   samples.push_back({t, value});
   // Trim-on-append: the just-pushed sample (t >= t - retention) survives,
   // so this can never empty the series.
@@ -160,10 +136,7 @@ void TimeSeriesDb::append_histogram(HistogramId id, SimTime t,
   L3_EXPECTS(series.bounds_set);
   L3_EXPECTS(cumulative_counts.size() == series.bounds.size() + 1);
   L3_EXPECTS(series.times.empty() || t >= series.times.back());
-  if (series.times.empty()) {
-    ++nonempty_histograms_;
-    note_new_front(t);
-  }
+  if (series.times.empty()) ++nonempty_histograms_;
   series.times.push_back(t);
   series.rows.push_back(cumulative_counts);
   while (series.times.front() < t - retention_) {
@@ -173,44 +146,25 @@ void TimeSeriesDb::append_histogram(HistogramId id, SimTime t,
 }
 
 void TimeSeriesDb::compact(SimTime now) {
-  const SimTime cutoff = now - retention_;
-  // Fast path: nothing in the store can be older than the cutoff. The obs
-  // scope covers the slow path only, so the profile reports real compaction
-  // work rather than no-op calls.
-  if (oldest_sample_ >= cutoff) return;
   L3_OBS_SCOPE(obs_compact, kTsdbCompact);
-
-  SimTime oldest = kNoSamples;
+  const SimTime cutoff = now - retention_;
   for (auto& series : scalars_) {
     auto& samples = series.samples;
-    if (samples.empty()) continue;
-    if (samples.front().t < cutoff) {  // already-fresh series skip here
-      while (!samples.empty() && samples.front().t < cutoff) {
-        samples.pop_front();
-      }
-      if (samples.empty()) {
-        --nonempty_scalars_;
-        continue;
-      }
+    if (samples.empty() || samples.front().t >= cutoff) continue;
+    while (!samples.empty() && samples.front().t < cutoff) {
+      samples.pop_front();
     }
-    oldest = std::min(oldest, samples.front().t);
+    if (samples.empty()) --nonempty_scalars_;
   }
   for (auto& series : histograms_) {
     auto& times = series.times;
-    if (times.empty()) continue;
-    if (times.front() < cutoff) {
-      while (!times.empty() && times.front() < cutoff) {
-        times.pop_front();
-        series.rows.pop_front();
-      }
-      if (times.empty()) {
-        --nonempty_histograms_;
-        continue;
-      }
+    if (times.empty() || times.front() >= cutoff) continue;
+    while (!times.empty() && times.front() < cutoff) {
+      times.pop_front();
+      series.rows.pop_front();
     }
-    oldest = std::min(oldest, times.front());
+    if (times.empty()) --nonempty_histograms_;
   }
-  oldest_sample_ = oldest;
   L3_OBS_EVENT(kMetrics, kCompact, now, 0,
                static_cast<double>(nonempty_scalars_ + nonempty_histograms_));
 }
@@ -231,11 +185,10 @@ std::optional<double> TimeSeriesDb::rate(SeriesId id, SimDuration window,
                                          SimTime now) const {
   if (!id.valid()) return std::nullopt;
   L3_EXPECTS(id.index_ < scalars_.size());
-  const auto& series = scalars_[id.index_];
-  const auto& samples = series.samples;
-  const auto span = fold_window(
-      series.cursor, samples.size(), samples.popped(),
-      [&](std::size_t i) { return samples[i].t; }, window, now, 2);
+  const auto& samples = scalars_[id.index_].samples;
+  const auto span = window_span(
+      samples.size(), [&](std::size_t i) { return samples[i].t; }, window,
+      now, 2);
   if (!span) return std::nullopt;
   const auto& first = samples[span->first];
   const auto& last = samples[span->second];
@@ -248,11 +201,10 @@ std::optional<double> TimeSeriesDb::avg(SeriesId id, SimDuration window,
                                         SimTime now) const {
   if (!id.valid()) return std::nullopt;
   L3_EXPECTS(id.index_ < scalars_.size());
-  const auto& series = scalars_[id.index_];
-  const auto& samples = series.samples;
-  const auto span = fold_window(
-      series.cursor, samples.size(), samples.popped(),
-      [&](std::size_t i) { return samples[i].t; }, window, now, 1);
+  const auto& samples = scalars_[id.index_].samples;
+  const auto span = window_span(
+      samples.size(), [&](std::size_t i) { return samples[i].t; }, window,
+      now, 1);
   if (!span) return std::nullopt;
   // Summed over the in-window samples in time order, NOT kept as a running
   // total updated on append: incremental add/subtract would change the
@@ -269,11 +221,10 @@ std::optional<double> TimeSeriesDb::last(SeriesId id, SimDuration window,
                                          SimTime now) const {
   if (!id.valid()) return std::nullopt;
   L3_EXPECTS(id.index_ < scalars_.size());
-  const auto& series = scalars_[id.index_];
-  const auto& samples = series.samples;
-  const auto span = fold_window(
-      series.cursor, samples.size(), samples.popped(),
-      [&](std::size_t i) { return samples[i].t; }, window, now, 1);
+  const auto& samples = scalars_[id.index_].samples;
+  const auto span = window_span(
+      samples.size(), [&](std::size_t i) { return samples[i].t; }, window,
+      now, 1);
   if (!span) return std::nullopt;
   return samples[span->second].v;
 }
@@ -285,9 +236,8 @@ std::optional<double> TimeSeriesDb::quantile(HistogramId id, double q,
   L3_EXPECTS(id.index_ < histograms_.size());
   const auto& series = histograms_[id.index_];
   const auto& times = series.times;
-  const auto span = fold_window(
-      series.cursor, times.size(), times.popped(),
-      [&](std::size_t i) { return times[i]; }, window, now, 2);
+  const auto span = window_span(
+      times.size(), [&](std::size_t i) { return times[i]; }, window, now, 2);
   if (!span) return std::nullopt;
   const std::span<const double> first = series.rows[span->first];
   const std::span<const double> last = series.rows[span->second];

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 namespace l3::core {
 namespace {
@@ -72,20 +73,14 @@ TEST_F(ControllerTest, ShiftsWeightTowardFastBackend) {
   EXPECT_GT(weights[0], weights[2] * 2);
 }
 
-TEST_F(ControllerTest, SteadyStateReusesScrapePlanAndWindowCursors) {
-  // Once the registry's series exist, every scrape reuses the columnar plan
-  // and every controller window query advances its cursor in place. A plan
-  // rebuilt per scrape or a cursor reseeded per query shows up as new
-  // rebuilds here.
+TEST_F(ControllerTest, SteadyStateReusesScrapePlan) {
+  // Once the registry's series exist, every scrape reuses the columnar
+  // plan. A plan rebuilt per scrape shows up as new rebuilds here.
   start_stack({0.020, 0.200, 0.200}, std::make_unique<lb::L3Policy>());
   sim.run_until(60.0);
   const auto plans = scraper->plan_rebuilds();
-  const auto hits = tsdb.cursor_hits();
-  const auto reseeds = tsdb.cursor_rebuilds();
   sim.run_until(180.0);
   EXPECT_EQ(scraper->plan_rebuilds(), plans);
-  EXPECT_EQ(tsdb.cursor_rebuilds(), reseeds);
-  EXPECT_GT(tsdb.cursor_hits(), hits);
 }
 
 TEST_F(ControllerTest, RoundRobinPolicyKeepsEqualWeights) {
@@ -212,6 +207,40 @@ TEST_F(ControllerTest, InactiveControllerDoesNotTouchWeights) {
   sim.run_until(60.0);
   EXPECT_EQ(mesh.find_split(c1, "svc")->generation(), before);
   EXPECT_GT(controller->ticks(), 0u);  // still filtering
+}
+
+TEST_F(ControllerTest, PausedControllerExportsTheSplitsWeights) {
+  // A paused controller (follower mode, chaos controller_pause) still
+  // computes weights but applies none, so its weight gauge and snapshot
+  // must report the split's weights, not the ones it never pushed.
+  start_stack({0.020, 0.200, 0.200}, std::make_unique<lb::L3Policy>());
+  mesh::TrafficSplit& split = *mesh.find_split(c1, "svc");
+  const std::vector<std::uint64_t> pinned = {200, 300, 500};
+  split.set_weights(pinned);
+  controller->set_active(false);
+  sim.run_until(60.0);
+  ASSERT_EQ(split.weights(), pinned);
+
+  // Not vacuous: the latencies differ, so the last computed weights differ
+  // from the pinned ones.
+  const trace::DecisionEvent* last = controller->journal().latest("svc");
+  ASSERT_NE(last, nullptr);
+  EXPECT_FALSE(last->applied);
+  EXPECT_NE(last->backends[0].applied_weight, pinned[0]);
+
+  auto& registry = mesh.registry(c1);
+  const auto snapshot = controller->snapshot();
+  ASSERT_EQ(snapshot.size(), 1u);
+  ASSERT_EQ(snapshot[0].backends.size(), pinned.size());
+  for (std::size_t i = 0; i < pinned.size(); ++i) {
+    const auto& backend = snapshot[0].backends[i];
+    const auto labels =
+        mesh::metric_names::backend_labels("svc", "c1", backend.dst_cluster);
+    EXPECT_EQ(registry.gauge("l3_backend_weight", labels).value(),
+              static_cast<double>(pinned[i]))
+        << backend.dst_cluster;
+    EXPECT_EQ(backend.weight, pinned[i]) << backend.dst_cluster;
+  }
 }
 
 TEST_F(ControllerTest, IntrospectionGaugesExported) {

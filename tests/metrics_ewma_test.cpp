@@ -84,7 +84,7 @@ TEST(Ewma, ConvergeToDefaultDoesNotMarkSamples) {
 }
 
 TEST(PeakEwma, ConvergeToDefaultDoesNotMarkSamples) {
-  PeakEwma p(0.1, 5.0, 0.0);
+  Ewma p(0.1, 5.0, 0.0, FilterKind::kPeakEwma);
   p.converge_to_default(10.0);
   EXPECT_FALSE(p.has_samples());
   p.observe(3.0, 15.0);
@@ -94,7 +94,7 @@ TEST(PeakEwma, ConvergeToDefaultDoesNotMarkSamples) {
 }
 
 TEST(PeakEwma, ConvergeToDefaultRejectsTimeTravel) {
-  PeakEwma p(0.1, 5.0, 10.0);
+  Ewma p(0.1, 5.0, 10.0, FilterKind::kPeakEwma);
   EXPECT_THROW(p.converge_to_default(5.0), ContractViolation);
 }
 
@@ -113,13 +113,13 @@ TEST(Ewma, RejectsTimeTravel) {
 
 TEST(PeakEwma, JumpsToPeakInstantly) {
   // Eq. 2 middle case: a sample above the current value replaces it.
-  PeakEwma p(0.1, 5.0, 0.0);
+  Ewma p(0.1, 5.0, 0.0, FilterKind::kPeakEwma);
   p.observe(2.0, 1.0);
   EXPECT_DOUBLE_EQ(p.value(), 2.0);
 }
 
 TEST(PeakEwma, DecaysCautiouslyBelowPeak) {
-  PeakEwma p(0.1, 5.0, 0.0);
+  Ewma p(0.1, 5.0, 0.0, FilterKind::kPeakEwma);
   p.observe(2.0, 1.0);
   p.observe(0.1, 6.0);  // one half-life later
   EXPECT_NEAR(p.value(), 0.1 * 0.5 + 2.0 * 0.5, 1e-12);
@@ -129,7 +129,7 @@ TEST(PeakEwma, DecaysCautiouslyBelowPeak) {
 TEST(PeakEwma, MatchesEwmaOnMonotoneDecreasingInput) {
   // When samples never exceed the current value, PeakEWMA == EWMA.
   Ewma e(5.0, 5.0, 0.0);
-  PeakEwma p(5.0, 5.0, 0.0);
+  Ewma p(5.0, 5.0, 0.0, FilterKind::kPeakEwma);
   double v = 4.0;
   for (int i = 1; i < 20; ++i) {
     e.observe(v, static_cast<double>(i));
@@ -141,29 +141,17 @@ TEST(PeakEwma, MatchesEwmaOnMonotoneDecreasingInput) {
 
 TEST(PeakEwma, ReactsFasterThanEwmaToSpikes) {
   Ewma e(0.1, 5.0, 0.0);
-  PeakEwma p(0.1, 5.0, 0.0);
+  Ewma p(0.1, 5.0, 0.0, FilterKind::kPeakEwma);
   e.observe(3.0, 1.0);
   p.observe(3.0, 1.0);
   EXPECT_GT(p.value(), e.value());  // the defining behavioural difference
 }
 
 TEST(PeakEwma, ConvergeToDefaultDecaysPeak) {
-  PeakEwma p(0.1, 5.0, 0.0);
+  Ewma p(0.1, 5.0, 0.0, FilterKind::kPeakEwma);
   p.observe(3.0, 1.0);
   for (int i = 2; i < 20; ++i) p.converge_to_default(static_cast<double>(i) * 5.0);
   EXPECT_NEAR(p.value(), 0.1, 0.01);
-}
-
-TEST(LatencyFilter, DispatchesByKind) {
-  LatencyFilter ewma(FilterKind::kEwma, 0.1, 5.0, 0.0);
-  LatencyFilter peak(FilterKind::kPeakEwma, 0.1, 5.0, 0.0);
-  ewma.observe(3.0, 1.0);
-  peak.observe(3.0, 1.0);
-  EXPECT_DOUBLE_EQ(peak.value(), 3.0);
-  EXPECT_LT(ewma.value(), 3.0);
-  EXPECT_EQ(ewma.kind(), FilterKind::kEwma);
-  EXPECT_EQ(peak.kind(), FilterKind::kPeakEwma);
-  EXPECT_TRUE(ewma.has_samples());
 }
 
 TEST(BetaFromHalfLife, Definition) {
